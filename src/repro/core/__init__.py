@@ -4,12 +4,12 @@ Submodules:
 
 - :mod:`repro.core.distances` — squared-L2 kernels.
 - :mod:`repro.core.clustering` — SPANN-style balanced clustering.
-- :mod:`repro.core.centroid_index` — in-memory centroid navigator
-  (exact + navigable-graph variants; the paper's SPTAG stand-in).
+- :mod:`repro.core.centroid_index` — in-memory exact centroid navigator
+  (the paper's SPTAG stand-in).
 - :mod:`repro.core.version_map` — 1-byte-per-vector version map with
   tombstone bit and CAS (paper §4.2.1/§4.2.2).
-- :mod:`repro.core.lire` — the pure LIRE math: the two necessary
-  reassignment conditions and helper set constructions (paper §3.3).
+- :mod:`repro.core.lire` — the LIRE planner: every rebalancing decision
+  both engines make (paper §3.3, §4.2).
 - :mod:`repro.core.spfresh` — the SPFresh engine: Updater, Local
   Rebuilder, Searcher over the Block Controller (paper §4).
 - :mod:`repro.core.latency` — the device/CPU latency model that turns

@@ -2,22 +2,13 @@
 
 SPFresh keeps the centroid of every posting in an in-memory SPTAG graph
 index for fast candidate-posting identification, updated when splits and
-merges change the centroid set. Two implementations:
-
-- :class:`CentroidIndex`: exact brute-force top-k over the alive
-  centroids. At reproduction scale (≤ a few thousand postings) this is
-  both exact and fast, so it is the default (DESIGN.md §2 substitution).
-- :class:`GraphCentroidIndex`: a navigable k-NN-graph (single-layer
-  HNSW-style best-first search with bidirectional links and degree
-  pruning) that exercises the approximate-navigation code path and
-  supports incremental insert/lazy delete like SPTAG.
-
-Both support stable integer posting ids, incremental ``add``/``remove``,
-and batched search.
+merges change the centroid set. :class:`CentroidIndex` stands in for it
+with an exact brute-force top-k over the alive centroids: at reproduction
+scale (≤ a few thousand postings) this is both exact and fast (DESIGN.md
+§2 substitution). It keeps stable integer posting ids and supports
+incremental ``add``/``remove`` and batched search.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -93,82 +84,3 @@ class CentroidIndex:
         """Modelled DRAM: one float32 vector per ever-created centroid."""
         return self._n * self.dim * 4
 
-
-class GraphCentroidIndex(CentroidIndex):
-    """Navigable k-NN graph over centroids (best-first search).
-
-    ``add`` connects a new node bidirectionally to the top-``degree``
-    results of a best-first search (ef candidates); neighbor lists are
-    pruned back to ``degree`` by distance. ``remove`` is a lazy delete:
-    dead nodes still route but are excluded from results, like SPTAG's
-    tombstoned centroids before index refresh.
-    """
-
-    def __init__(self, dim: int, capacity: int = 1024, degree: int = 12, ef: int = 32):
-        super().__init__(dim, capacity)
-        self.degree = degree
-        self.ef = ef
-        self._nbrs: list[list[int]] = []
-        self._entry: int | None = None
-
-    def add(self, vec: np.ndarray) -> int:
-        pid = super().add(vec)
-        self._nbrs.append([])
-        if self._entry is None or not self._alive[self._entry]:
-            self._entry = pid
-            return pid
-        cand = self._search_graph(self._vecs[pid], self.ef, include_dead=True)
-        links = [c for c in cand[: self.degree] if c != pid]
-        self._nbrs[pid] = links
-        for c in links:
-            if pid not in self._nbrs[c]:
-                self._nbrs[c].append(pid)
-                if len(self._nbrs[c]) > 2 * self.degree:
-                    self._prune(c)
-        return pid
-
-    def _prune(self, node: int) -> None:
-        nbrs = np.asarray(self._nbrs[node], dtype=np.int64)
-        d = pairwise_sq_l2(self._vecs[node][None, :], self._vecs[nbrs])[0]
-        self._nbrs[node] = nbrs[topk_indices(d, self.degree)].tolist()
-
-    def _search_graph(self, q: np.ndarray, ef: int, include_dead: bool = False) -> list[int]:
-        if self._entry is None:
-            return []
-        start = self._entry
-        d0 = float(pairwise_sq_l2(q[None, :], self._vecs[start][None, :])[0, 0])
-        visited = {start}
-        frontier = [(d0, start)]  # min-heap
-        best: list[tuple[float, int]] = [(-d0, start)]  # max-heap of ef best
-        while frontier:
-            d, node = heapq.heappop(frontier)
-            if len(best) >= ef and d > -best[0][0]:
-                break
-            for nb in self._nbrs[node]:
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                dn = float(pairwise_sq_l2(q[None, :], self._vecs[nb][None, :])[0, 0])
-                if len(best) < ef or dn < -best[0][0]:
-                    heapq.heappush(frontier, (dn, nb))
-                    heapq.heappush(best, (-dn, nb))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        found = sorted(((-nd, node) for nd, node in best), key=lambda t: (t[0], t[1]))
-        if not include_dead:
-            found = [(d, n) for d, n in found if self._alive[n]]
-        return [n for _, n in found]
-
-    def search(self, q: np.ndarray, k: int) -> np.ndarray:
-        found = self._search_graph(np.asarray(q, dtype=np.float64), max(self.ef, k))
-        if len(found) < min(k, len(self)):
-            # graph got disconnected by lazy deletes — exact fallback
-            return CentroidIndex.search(self, q, k)
-        return np.asarray(found[:k], dtype=np.int64)
-
-    def search_batch(self, qs: np.ndarray, k: int) -> np.ndarray:
-        return np.stack([self.search(q, k) for q in np.asarray(qs, dtype=np.float64)])
-
-    def memory_bytes(self) -> int:
-        edges = sum(len(n) for n in self._nbrs)
-        return super().memory_bytes() + 4 * edges

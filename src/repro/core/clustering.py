@@ -108,33 +108,3 @@ def hierarchical_balanced_clustering(
         stack.append((idx[sub == 1], s * 2 + 2))
     return np.asarray(centroids), labels
 
-
-def closure_assign(
-    vecs: np.ndarray,
-    centroids: np.ndarray,
-    *,
-    max_replicas: int = 4,
-    eps: float = 0.1,
-) -> list[np.ndarray]:
-    """SPANN closure assignment: replicate boundary vectors.
-
-    Each vector is assigned to its nearest centroid plus every centroid
-    within a ``(1 + eps)`` distance-ratio of the nearest (squared ratio
-    ``(1 + eps)^2``), capped at ``max_replicas`` postings. Returns, per
-    vector, the array of assigned centroid column-indices (nearest first).
-    """
-    d = pairwise_sq_l2(vecs, centroids)
-    k = min(max_replicas, d.shape[1])
-    part = np.argpartition(d, k - 1, axis=1)[:, :k] if k < d.shape[1] else np.tile(
-        np.arange(d.shape[1]), (len(vecs), 1)
-    )
-    out: list[np.ndarray] = []
-    thresh_ratio = (1.0 + eps) ** 2
-    for i in range(len(vecs)):
-        cand = part[i]
-        dist = d[i, cand]
-        order = np.lexsort((cand, dist))
-        cand, dist = cand[order], dist[order]
-        keep = dist <= thresh_ratio * dist[0] + 1e-12
-        out.append(cand[keep])
-    return out

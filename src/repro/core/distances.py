@@ -21,12 +21,6 @@ def pairwise_sq_l2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def sq_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared L2 between two single vectors."""
-    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(diff @ diff)
-
-
 def topk_indices(dist_row: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest entries, sorted ascending by value.
 

@@ -54,6 +54,12 @@ class VersionMap:
     def version(self, vid: int) -> int:
         return int(self._v[vid] & _VERSION_MASK)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vids, versions, deleted)`` of every registered vector, by vid."""
+        vids = np.flatnonzero(self._present)
+        cur = self._v[vids]
+        return vids, cur & _VERSION_MASK, (cur & _DELETE_BIT) != 0
+
     def is_stale(self, vids: np.ndarray, disk_versions: np.ndarray) -> np.ndarray:
         """Vectorised staleness test for a posting's on-disk tuples."""
         vids = np.asarray(vids, dtype=np.int64)

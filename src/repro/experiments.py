@@ -258,7 +258,6 @@ def run_f8_search_scaling(*, n_base: int = 8_000, dim: int = 32, n_queries: int 
     cpu_us = []
     for q in qs:
         _, lat = idx.search(q, 10)
-        io = 0.0  # separate CPU from IO via the latency model components
         cpu_us.append(lat)
     blocks_per_query = (idx.ssd.counters.blocks_read - blocks0) / n_queries
     # CPU part = simulated latency minus the IO part

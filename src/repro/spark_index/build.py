@@ -1,57 +1,19 @@
-"""Initial balanced index build as a Spark job (paper §3.1).
+"""Initial balanced build of the Spark index (paper §3.1).
 
-Centroids come from driver-side hierarchical balanced clustering (SPANN's
-build also computes centroids centrally — they are the in-memory index);
-the heavy part, assigning every vector to its closure of nearest
-postings, runs distributed: a ``mapInPandas`` pass with the centroid
-matrix broadcast, emitting one posting row per (vector, replica).
+The layout (centroids and every vector's closure of nearest postings)
+comes from the LIRE planner on the driver, as for the core engine — SPANN's
+build also computes centroids centrally; they are the in-memory index.
+The posting rows, one per (vector, replica), are written as the first
+dataset generation.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.core.clustering import closure_assign, hierarchical_balanced_clustering
+from repro.core import lire
 from repro.core.spfresh import SPFreshConfig
 from repro.spark_index.store import POSTING_SCHEMA, SparkPostingStore, rows_to_pdf
-from repro.synth_data import vectors_df
-
-
-def assign_closure_df(
-    spark: SparkSession,
-    vec_df: DataFrame,
-    centroids: np.ndarray,
-    pids: np.ndarray,
-    *,
-    max_replicas: int,
-    eps: float,
-) -> DataFrame:
-    """Distributed closure assignment: (vid, vec) → posting rows.
-
-    Emits ``(pid, vid, version=0, vec)`` with one row per replica; the
-    first (nearest) pid per vid is the primary NPA assignment.
-    """
-    bc = spark.sparkContext.broadcast((centroids, np.asarray(pids, dtype=np.int64)))
-
-    def assign(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        cents, pid_arr = bc.value
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            vecs = np.stack(pdf["vec"].map(np.asarray))
-            assign = closure_assign(vecs, cents, max_replicas=max_replicas, eps=eps)
-            out_pid, out_vid, out_vec = [], [], []
-            for row, cols in enumerate(assign):
-                for c in cols:
-                    out_pid.append(int(pid_arr[c]))
-                    out_vid.append(int(pdf["vid"].iloc[row]))
-                    out_vec.append(vecs[row])
-            yield rows_to_pdf(out_pid, out_vid, np.zeros(len(out_pid)), out_vec)
-
-    return vec_df.mapInPandas(assign, schema=POSTING_SCHEMA)
 
 
 def build_index(
@@ -64,21 +26,12 @@ def build_index(
     """Build a balanced Spark-backed SPFresh index from scratch."""
     store = SparkPostingStore(spark, root, config)
     vecs = np.asarray(vecs, dtype=np.float64)
-    # Same leaf sizing as the core engine: leave headroom for replication.
-    target = max(2, int(config.split_limit * 0.6))
-    centroids, _ = hierarchical_balanced_clustering(vecs, max_size=target, seed=config.seed)
-    assign = closure_assign(vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps)
-    rho = sum(len(a) for a in assign) / max(1, len(assign))
-    if rho > 1.15:
-        target = max(2, int(config.split_limit * 0.6 / rho))
-        centroids, _ = hierarchical_balanced_clustering(vecs, max_size=target, seed=config.seed)
+    vids = np.asarray(vids, dtype=np.int64)
+    centroids, rows, cols = lire.build_layout(vecs, config)
     pids = np.asarray([store.centroid_index.add(c) for c in centroids], dtype=np.int64)
     for v in vids:
         store.version_map.add(int(v))
-    vdf = vectors_df(spark, vecs, np.asarray(vids))
-    posting_rows = assign_closure_df(
-        spark, vdf, centroids, pids, max_replicas=config.max_replicas, eps=config.closure_eps
-    )
-    store.write_postings(posting_rows)
+    pdf = rows_to_pdf(pids[cols], vids[rows], np.zeros(len(rows)), vecs[rows])
+    store.write_postings(spark.createDataFrame(pdf, schema=POSTING_SCHEMA))
     store.save_meta()
     return store

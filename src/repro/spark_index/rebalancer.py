@@ -23,10 +23,15 @@ job queue after a batch of foreground updates:
 Split→reassign→split cascades are the convergence loop of §3.4: the
 round loop terminates because every split grows the centroid set by one
 and |C| ≤ |V|.
+
+Every decision inside these jobs (split, reassign scope, condition
+screening, the final NPA check with CAS, merge target) is made by the
+planner in :mod:`repro.core.lire`, the same calls the core engine makes;
+this module keeps the Spark execution and the Parquet storage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -34,8 +39,7 @@ import pandas as pd
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.clustering import balanced_two_means, closure_assign
-from repro.core.lire import condition_one, condition_two
+from repro.core import lire
 from repro.spark_index.store import SparkPostingStore, rows_to_pdf
 
 _SPLIT_OUT_SCHEMA = T.StructType(
@@ -69,23 +73,24 @@ class SplitInfo:
 
 @dataclass
 class RebalanceStats:
-    rounds: int = 0
     splits: int = 0
     merges: int = 0
     reassign_evaluated: int = 0
     reassign_moved: int = 0
-    split_pids: list[int] = field(default_factory=list)
+    reassign_aborted_cas: int = 0
 
 
 def _split_job(store: SparkPostingStore, oversized_pids: list[int]) -> list[SplitInfo]:
     """Distributed balanced 2-means over every oversized posting."""
     live = store.live_df().where(F.col("pid").isin([int(p) for p in oversized_pids]))
-    seed = store.config.seed
+    cfg = store.config
 
     def split_one(pdf: pd.DataFrame) -> pd.DataFrame:
         pid = int(pdf["pid"].iloc[0])
-        vecs = np.stack(pdf["vec"].map(np.asarray))
-        centers, labels = balanced_two_means(vecs, seed=seed + pid)
+        order, centers, labels = lire.split(
+            pdf["vid"].to_numpy(), np.stack(pdf["vec"].map(np.asarray)), cfg
+        )
+        pdf = pdf.iloc[order]
         return pd.DataFrame(
             {
                 "old_pid": pid,
@@ -135,16 +140,10 @@ def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: Rebal
         split_payload[sid] = (info.old_centroid, info.new_centroids)
         for pid in info.new_pids:
             mapping_rows.append((int(pid), sid, True))
-        if cfg.reassign_range > 0:
-            nbr = [
-                int(p)
-                for p in store.centroid_index.search(
-                    info.old_centroid, cfg.reassign_range + len(info.new_pids)
-                )
-                if int(p) not in info.new_pids
-            ][: cfg.reassign_range]
-            for pid in nbr:
-                mapping_rows.append((int(pid), sid, False))
+        for pid in lire.reassign_scope(
+            store.centroid_index, info.old_centroid, info.new_pids, cfg.reassign_range
+        ):
+            mapping_rows.append((pid, sid, False))
     mapping_pdf = pd.DataFrame(mapping_rows, columns=["pid", "split_id", "is_split"])
     mapping = store.spark.createDataFrame(mapping_pdf)
     bc = store.spark.sparkContext.broadcast(split_payload)
@@ -158,10 +157,8 @@ def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: Rebal
             for (sid, is_split), grp in pdf.groupby(["split_id", "is_split"]):
                 old_c, new_c = payload[int(sid)]
                 vecs = np.stack(grp["vec"].map(np.asarray))
-                mask = (
-                    condition_one(vecs, old_c, new_c)
-                    if is_split
-                    else condition_two(vecs, old_c, new_c)
+                mask = lire.reassign_candidate_mask(
+                    vecs, old_c, new_c, in_split_posting=bool(is_split)
                 )
                 if mask.any():
                     keep_rows.append(grp.iloc[np.flatnonzero(mask)])
@@ -180,46 +177,27 @@ def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: Rebal
     scanned = live.join(mapping, on="pid")
     stats.reassign_evaluated += scanned.count()
     cand = scanned.mapInPandas(screen, schema=_CAND_SCHEMA).toPandas()
-    if not len(cand):
-        return
-    cand = cand.drop_duplicates(subset=["vid"], keep="first")
-    _execute_moves(store, cand, stats)
+    if len(cand):
+        _move(store, cand, stats)
 
 
-def _execute_moves(
-    store: SparkPostingStore, cand: pd.DataFrame, stats: RebalanceStats
-) -> pd.DataFrame | None:
-    """Final NPA check + CAS version bump + append at the new version.
-
-    Returns the appended rows (or ``None``) so callers that operate on a
-    live-rows snapshot (the merge job) can overlay them.
-    """
-    cfg = store.config
-    alive = store.centroid_index.alive_ids
-    cents = store.centroid_index.centroids(alive)
-    vecs = np.stack(cand["vec"].map(np.asarray))
-    assign = closure_assign(vecs, cents, max_replicas=cfg.max_replicas, eps=cfg.closure_eps)
-    out_pid, out_vid, out_ver, out_vec = [], [], [], []
-    for row in range(len(cand)):
-        primary = int(alive[assign[row][0]])
-        cur_pid = int(cand["cur_pid"].iloc[row])
-        if primary == cur_pid:
-            continue  # false positive — already NPA-compliant
-        vid = int(cand["vid"].iloc[row])
-        new_ver = store.version_map.bump_cas(vid, int(cand["version"].iloc[row]))
-        if new_ver is None:
-            continue  # concurrent move/delete won the CAS
-        for c in assign[row]:
-            out_pid.append(int(alive[c]))
-            out_vid.append(vid)
-            out_ver.append(new_ver)
-            out_vec.append(vecs[row])
-        stats.reassign_moved += 1
-    if out_pid:
-        pdf = rows_to_pdf(out_pid, out_vid, out_ver, out_vec)
-        store.append_rows(pdf)
-        return pdf
-    return None
+def _move(store: SparkPostingStore, cand: pd.DataFrame, stats: RebalanceStats) -> pd.DataFrame:
+    """Plan the candidates' moves and append the moved rows at their new
+    versions; returns the appended rows."""
+    plan = lire.plan_moves(
+        cand["vid"].to_numpy(),
+        cand["version"].to_numpy(),
+        np.stack(cand["vec"].map(np.asarray)),
+        cand["cur_pid"].to_numpy(),
+        store.centroid_index,
+        store.version_map,
+        store.config,
+    )
+    stats.reassign_moved += plan.moved
+    stats.reassign_aborted_cas += plan.aborted
+    pdf = rows_to_pdf(plan.pids, plan.vids, plan.versions, plan.vecs)
+    store.append_rows(pdf)
+    return pdf
 
 
 def _merge_job(store: SparkPostingStore, undersized_pids: list[int], stats: RebalanceStats) -> None:
@@ -234,67 +212,30 @@ def _merge_job(store: SparkPostingStore, undersized_pids: list[int], stats: Reba
     overlay: list[pd.DataFrame] = []
 
     def rows_for(pid: int) -> pd.DataFrame:
-        parts = [live[live["pid"] == pid]]
-        parts += [o[o["pid"] == pid] for o in overlay]
-        rows = pd.concat(parts, ignore_index=True)
-        if not len(rows):
-            return rows
-        current = rows.apply(
-            lambda r: store.version_map.version(int(r["vid"])) == int(r["version"])
-            and not store.version_map.is_deleted(int(r["vid"])),
-            axis=1,
-        )
-        return rows[current].drop_duplicates(subset=["vid"], keep="first")
+        rows = pd.concat([r[r["pid"] == pid] for r in [live, *overlay]], ignore_index=True)
+        stale = store.version_map.is_stale(rows["vid"].to_numpy(), rows["version"].to_numpy())
+        return rows[~stale].drop_duplicates(subset=["vid"], keep="first")
 
     for pid in undersized_pids:
         pid = int(pid)
-        if pid not in store.centroid_index or len(store.centroid_index) <= 1:
+        if pid not in store.centroid_index:
+            continue
+        target = lire.merge_target(store.centroid_index, pid)
+        if target is None:
             continue
         rows = rows_for(pid)
-        centroid = store.centroid_index.centroid(pid).copy()
-        near = [int(p) for p in store.centroid_index.search(centroid, 2) if int(p) != pid]
-        if not near:
-            continue
-        target = near[0]
         store.centroid_index.remove(pid)
         stats.merges += 1
         if not len(rows):
             continue
+        # the vectors land in the target posting at their current versions
+        moved_in = rows_to_pdf(np.full(len(rows), target), rows["vid"], rows["version"], rows["vec"])
+        store.append_rows(moved_in)
+        overlay.append(moved_in)
         # merge-path reassign check on the moved vectors (no neighbor scan)
-        cand = pd.DataFrame(
-            {
-                "vid": rows["vid"].to_numpy(np.int64),
-                "version": rows["version"].to_numpy(np.int32),
-                "cur_pid": np.full(len(rows), target, dtype=np.int64),
-                "vec": rows["vec"].to_numpy(),
-            }
-        )
-        stats.reassign_evaluated += len(cand)
-        appended = _execute_moves(store, cand, stats)
-        if appended is not None:
-            overlay.append(appended)
-        # vectors that did not move elsewhere land in the target posting
-        # at their current version
-        keep_mask = []
-        alive = store.centroid_index.alive_ids
-        cents = store.centroid_index.centroids(alive)
-        vecs = np.stack(rows["vec"].map(np.asarray))
-        assign = closure_assign(vecs, cents, max_replicas=cfg.max_replicas, eps=cfg.closure_eps)
-        for row in range(len(rows)):
-            primary = int(alive[assign[row][0]])
-            vid = int(rows["vid"].iloc[row])
-            still_current = store.version_map.version(vid) == int(rows["version"].iloc[row])
-            keep_mask.append(primary == target and still_current)
-        keep = rows.iloc[np.flatnonzero(keep_mask)]
-        if len(keep):
-            kept_pdf = rows_to_pdf(
-                np.full(len(keep), target),
-                keep["vid"].to_numpy(),
-                keep["version"].to_numpy(),
-                list(keep["vec"]),
-            )
-            store.append_rows(kept_pdf)
-            overlay.append(kept_pdf)
+        if cfg.reassign:
+            stats.reassign_evaluated += len(rows)
+            overlay.append(_move(store, moved_in.assign(cur_pid=target), stats))
 
 
 def compact(store: SparkPostingStore) -> None:
@@ -321,11 +262,9 @@ def rebalance(store: SparkPostingStore, *, max_rounds: int = 20) -> RebalanceSta
         )
         if not oversized and not undersized:
             break
-        stats.rounds += 1
         if oversized:
             infos = _split_job(store, oversized)
             stats.splits += len(infos)
-            stats.split_pids.extend(i.old_pid for i in infos)
             if cfg.reassign:
                 _reassign_job(store, infos, stats)
         elif undersized:

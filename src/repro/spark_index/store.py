@@ -5,13 +5,13 @@ translated to a datalake: postings are rows ``(pid, vid, version, vec)``
 in a Parquet dataset (appends add files — the APPEND path; compaction
 rewrites — the PUT/GC path), while the centroid index and the version
 map stay in driver memory like the paper's in-memory SPTAG index and
-version map. Dataset versions are written to ``postings_v{n}`` dirs and
-flipped atomically via a pointer file — copy-on-write at dataset
-granularity, which is what gives the §4.4-style snapshot consistency.
+version map. Each compaction writes a new dataset generation to a
+``postings_v{n}`` dir and leaves the old one untouched (copy-on-write at
+dataset granularity); the generation in use is the one recorded in the
+driver metadata that ``save_meta`` writes and ``load`` reads.
 """
 from __future__ import annotations
 
-import json
 import os
 import pickle
 from dataclasses import dataclass
@@ -75,15 +75,10 @@ class SparkPostingStore:
     def postings_path(self) -> str:
         return os.path.join(self.root, f"postings_v{self._gen}")
 
-    def _pointer_path(self) -> str:
-        return os.path.join(self.root, "CURRENT")
-
     def write_postings(self, df: DataFrame) -> None:
-        """Write a full new dataset generation and flip the pointer."""
+        """Write a full new dataset generation and switch to it."""
         self._gen += 1
         df.write.mode("overwrite").parquet(self.postings_path)
-        with open(self._pointer_path(), "w") as fh:
-            json.dump({"gen": self._gen}, fh)
         self.stats.compactions += 1
 
     def append_rows(self, pdf: pd.DataFrame) -> None:
@@ -101,13 +96,12 @@ class SparkPostingStore:
     # -- driver metadata as DataFrames -----------------------------------
     def versions_df(self) -> DataFrame:
         """Version map as (vid, cur_version, deleted) for live-row joins."""
-        vm = self.version_map
-        vids = [v for v in range(vm._max_vid + 1) if vm.contains(v)]
+        vids, versions, deleted = self.version_map.entries()
         pdf = pd.DataFrame(
             {
-                "vid": np.asarray(vids, dtype=np.int64),
-                "cur_version": np.asarray([vm.version(v) for v in vids], dtype=np.int32),
-                "deleted": np.asarray([vm.is_deleted(v) for v in vids], dtype=bool),
+                "vid": vids.astype(np.int64),
+                "cur_version": versions.astype(np.int32),
+                "deleted": deleted,
             }
         )
         schema = T.StructType(

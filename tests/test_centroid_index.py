@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.centroid_index import CentroidIndex, GraphCentroidIndex
+from repro.core.centroid_index import CentroidIndex
 from repro.core.distances import pairwise_sq_l2
 
 
@@ -87,48 +87,3 @@ class TestExactCentroidIndex:
             idx.add(np.zeros(16))
         assert idx.memory_bytes() == m0 + 10 * 16 * 4
 
-
-class TestGraphCentroidIndex:
-    def test_high_recall_vs_exact(self):
-        vecs = rand_vecs(300, dim=16, seed=1)
-        gidx = GraphCentroidIndex(16, degree=12, ef=48)
-        eidx = CentroidIndex(16)
-        for v in vecs:
-            gidx.add(v)
-            eidx.add(v)
-        qs = rand_vecs(30, dim=16, seed=2)
-        hits = 0
-        for q in qs:
-            got = set(gidx.search(q, 8).tolist())
-            expect = set(eidx.search(q, 8).tolist())
-            hits += len(got & expect)
-        assert hits / (30 * 8) >= 0.9  # navigable-graph recall target
-
-    def test_incremental_insert_searchable(self):
-        gidx = GraphCentroidIndex(8, degree=6, ef=16)
-        vecs = rand_vecs(50, seed=3)
-        for v in vecs:
-            gidx.add(v)
-        pid = gidx.add(np.full(8, 1234.0))
-        assert gidx.search(np.full(8, 1234.0), 1)[0] == pid
-
-    def test_lazy_delete_excluded_from_results(self):
-        gidx = GraphCentroidIndex(8, degree=6, ef=16)
-        vecs = rand_vecs(30, seed=4)
-        for v in vecs:
-            gidx.add(v)
-        target = gidx.search(vecs[7], 1)[0]
-        gidx.remove(int(target))
-        assert target not in gidx.search(vecs[7], 5)
-
-    def test_degree_bounded(self):
-        gidx = GraphCentroidIndex(8, degree=4, ef=16)
-        for v in rand_vecs(100, seed=5):
-            gidx.add(v)
-        assert max(len(n) for n in gidx._nbrs) <= 2 * 4
-
-    def test_memory_includes_edges(self):
-        gidx = GraphCentroidIndex(8, degree=4, ef=16)
-        for v in rand_vecs(20, seed=6):
-            gidx.add(v)
-        assert gidx.memory_bytes() > CentroidIndex.memory_bytes(gidx)

@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import (
-    balanced_two_means,
-    closure_assign,
-    hierarchical_balanced_clustering,
-)
+from repro.core.clustering import balanced_two_means, hierarchical_balanced_clustering
 from repro.core.distances import pairwise_sq_l2
+from repro.core.lire import closure_assign
+
+
+def per_row(assign: tuple[np.ndarray, np.ndarray], n: int) -> list[np.ndarray]:
+    """``closure_assign``'s flat (rows, cols) pairs as one array per row."""
+    rows, cols = assign
+    return np.split(cols, np.searchsorted(rows, np.arange(1, n)))
 
 
 def blobs(n: int, dim: int = 4, seed: int = 0) -> np.ndarray:
@@ -93,7 +96,7 @@ class TestClosureAssign:
     def test_nearest_centroid_always_first(self):
         rng = np.random.default_rng(0)
         vecs, cents = rng.random((50, 8)), rng.random((10, 8))
-        assign = closure_assign(vecs, cents, max_replicas=4, eps=0.2)
+        assign = per_row(closure_assign(vecs, cents, max_replicas=4, eps=0.2), len(vecs))
         d = pairwise_sq_l2(vecs, cents)
         for i, a in enumerate(assign):
             assert a[0] == d[i].argmin()
@@ -101,20 +104,20 @@ class TestClosureAssign:
     def test_eps_zero_single_assignment(self):
         rng = np.random.default_rng(1)
         vecs, cents = rng.random((50, 8)), rng.random((10, 8))
-        assign = closure_assign(vecs, cents, max_replicas=8, eps=0.0)
+        assign = per_row(closure_assign(vecs, cents, max_replicas=8, eps=0.0), len(vecs))
         assert all(len(a) == 1 for a in assign)
 
     def test_replica_cap_respected(self):
         vecs = np.zeros((5, 4))
         cents = np.zeros((10, 4))  # all equidistant (0) → everything qualifies
-        assign = closure_assign(vecs, cents, max_replicas=3, eps=1.0)
+        assign = per_row(closure_assign(vecs, cents, max_replicas=3, eps=1.0), len(vecs))
         assert all(len(a) == 3 for a in assign)
 
     def test_all_replicas_within_eps_ratio(self):
         rng = np.random.default_rng(2)
         vecs, cents = rng.random((100, 8)), rng.random((20, 8))
         eps = 0.15
-        assign = closure_assign(vecs, cents, max_replicas=8, eps=eps)
+        assign = per_row(closure_assign(vecs, cents, max_replicas=8, eps=eps), len(vecs))
         d = pairwise_sq_l2(vecs, cents)
         for i, a in enumerate(assign):
             dmin = d[i, a[0]]
@@ -123,7 +126,7 @@ class TestClosureAssign:
     def test_assignments_sorted_by_distance(self):
         rng = np.random.default_rng(3)
         vecs, cents = rng.random((30, 8)), rng.random((15, 8))
-        assign = closure_assign(vecs, cents, max_replicas=5, eps=0.5)
+        assign = per_row(closure_assign(vecs, cents, max_replicas=5, eps=0.5), len(vecs))
         d = pairwise_sq_l2(vecs, cents)
         for i, a in enumerate(assign):
             dist = d[i, a]

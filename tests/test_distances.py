@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distances import pairwise_sq_l2, sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, topk_indices
 
 
 class TestPairwiseSqL2:
@@ -38,9 +38,6 @@ class TestPairwiseSqL2:
     def test_symmetry(self, a, b):
         a, b = np.array(a), np.array(b)
         assert pairwise_sq_l2(a, b)[0, 0] == pytest.approx(pairwise_sq_l2(b, a)[0, 0])
-
-    def test_sq_l2_scalar(self):
-        assert sq_l2([0, 0], [3, 4]) == pytest.approx(25.0)
 
 
 class TestTopK:

@@ -1,24 +1,30 @@
-"""Tests for the pure LIRE math (paper §3.3).
+"""Tests for the LIRE planner (paper §3.3, §4.2).
 
-The key property: conditions 1 and 2 are *necessary* — any vector whose
-true nearest centroid actually changed relative to a nearby posting must
-satisfy the applicable condition. We verify this with randomized
+The key property of the conditions: they are *necessary* — any vector
+whose true nearest centroid actually changed relative to a nearby posting
+must satisfy the applicable condition. We verify this with randomized
 geometric scenarios (hypothesis) by constructing splits and checking that
-no NPA violation escapes the condition filter.
+no NPA violation escapes the condition filter. The planner's other
+decisions (closure assignment, split, the final NPA check with CAS) are
+checked against a per-row reference and on hand-built cases.
 """
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_two_means
 from repro.core.distances import pairwise_sq_l2
 from repro.core.lire import (
+    closure_assign,
     condition_one,
     condition_two,
-    npa_violated,
+    plan_moves,
     reassign_candidate_mask,
+    split,
 )
+from repro.core.spfresh import SPFreshConfig
+from repro.core.version_map import VersionMap
 
 
 def figure4_scenario():
@@ -149,14 +155,114 @@ class TestNecessityProperty:
         assert (flagged | ~applicable).all()
 
 
-class TestNPAViolated:
-    def test_detects_violation(self):
-        vecs = np.array([[0.0, 0.0], [10.0, 0.0]])
-        own = np.array([[5.0, 0.0], [5.0, 0.0]])
-        all_c = np.array([[5.0, 0.0], [0.5, 0.0]])
-        v = npa_violated(vecs, own, all_c)
-        assert v[0] and not v[1]
+def closure_loop(d: np.ndarray, max_replicas: int, eps: float) -> list[np.ndarray]:
+    """Per-row reference for closure assignment over a distance matrix."""
+    k = min(max_replicas, d.shape[1])
+    part = np.argpartition(d, k - 1, axis=1)[:, :k] if k < d.shape[1] else np.tile(
+        np.arange(d.shape[1]), (len(d), 1)
+    )
+    out = []
+    for i in range(len(d)):
+        cand = part[i]
+        dist = d[i, cand]
+        order = np.lexsort((cand, dist))
+        cand, dist = cand[order], dist[order]
+        out.append(cand[dist <= (1.0 + eps) ** 2 * dist[0] + 1e-12])
+    return out
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            npa_violated(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((1, 2)))
+
+@st.composite
+def closure_case(draw):
+    """Random float inputs, or small integer vectors with duplicate
+    centroids, where distance ties are the rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n, m, dim = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        vecs = rng.integers(0, 3, (n, dim)).astype(np.float64)
+        cents = rng.integers(0, 3, (m, dim)).astype(np.float64)
+        cents[rng.integers(0, m, m // 2)] = cents[0]
+    else:
+        vecs, cents = rng.normal(0, 1, (n, dim)), rng.normal(0, 1, (m, dim))
+    return vecs, cents, draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+
+
+class TestClosureAssign:
+    @given(closure_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_loop(self, case):
+        vecs, cents, max_replicas, eps = case
+        rows, cols = closure_assign(vecs, cents, max_replicas=max_replicas, eps=eps)
+        expect = closure_loop(pairwise_sq_l2(vecs, cents), max_replicas, eps)
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(len(vecs)), [len(e) for e in expect]))
+        np.testing.assert_array_equal(cols, np.concatenate(expect))
+
+
+def line_index(*xs: float) -> CentroidIndex:
+    """Centroids on the x axis of a 2-D space; pid i sits at ``xs[i]``."""
+    index = CentroidIndex(2)
+    for x in xs:
+        index.add(np.array([x, 0.0]))
+    return index
+
+
+def plan(index, version_map, vids, versions, xs, cur_pids):
+    vecs = np.array([[x, 0.0] for x in xs])
+    cfg = SPFreshConfig(dim=2, closure_eps=0.0)
+    return plan_moves(np.array(vids), np.array(versions), vecs, np.array(cur_pids),
+                      index, version_map, cfg)
+
+
+def version_map_of(*vids: int) -> VersionMap:
+    vm = VersionMap()
+    for v in vids:
+        vm.add(v)
+    return vm
+
+
+class TestPlanMoves:
+    def test_lost_cas_appends_nothing_and_keeps_replicas_live(self):
+        index, vm = line_index(0.0, 10.0), version_map_of(1, 2)
+        vm.bump_cas(2, 0)  # vector 2 moved after its candidate row was read
+        p = plan(index, vm, [1, 2], [0, 0], [9.0, 9.0], [0, 0])
+        assert (p.moved, p.aborted, p.evaluated) == (1, 1, 2)
+        assert p.vids.tolist() == [1] and p.pids.tolist() == [1]
+        assert p.versions.tolist() == [1]
+        assert vm.version(2) == 1
+        assert not vm.is_stale(np.array([2]), np.array([1]))[0]
+
+    def test_vector_in_several_postings_is_decided_once(self):
+        index, vm = line_index(0.0, 10.0, 20.0), version_map_of(3, 4)
+        # vector 3 is a candidate in postings 0 and 1 and 1 is its nearest:
+        # it stays. Vector 4 is a candidate in 0 and 2 but 1 is nearest: it
+        # moves once, one version up.
+        p = plan(index, vm, [3, 4, 3, 4], [0, 0, 0, 0], [9.0, 11.0, 9.0, 11.0], [0, 0, 1, 2])
+        assert (p.moved, p.aborted, p.evaluated) == (1, 0, 2)
+        assert p.vids.tolist() == [4] and p.pids.tolist() == [1]
+        assert (vm.version(3), vm.version(4)) == (0, 1)
+
+    def test_plan_ignores_candidate_order(self):
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(0, 30, 40)
+        cur = rng.integers(0, 4, 40)
+        vids = np.arange(40) % 25  # some vectors are candidates twice
+        a = plan(line_index(0, 10, 20, 30), version_map_of(*range(25)),
+                 vids, np.zeros(40), xs[vids], cur)
+        perm = rng.permutation(40)
+        b = plan(line_index(0, 10, 20, 30), version_map_of(*range(25)),
+                 vids[perm], np.zeros(40), xs[vids][perm], cur[perm])
+        assert (a.moved, a.aborted, a.evaluated) == (b.moved, b.aborted, b.evaluated)
+        for f in ("pids", "vids", "versions", "vecs"):
+            np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+
+
+class TestSplit:
+    def test_same_rows_split_the_same_in_any_order(self):
+        rng = np.random.default_rng(1)
+        vids, vecs = rng.permutation(1000)[:60], rng.normal(0, 1, (60, 4))
+        cfg = SPFreshConfig(dim=4)
+        order, centers, labels = split(vids, vecs, cfg)
+        perm = rng.permutation(60)
+        order2, centers2, labels2 = split(vids[perm], vecs[perm], cfg)
+        np.testing.assert_array_equal(centers, centers2)
+        np.testing.assert_array_equal(vids[order], vids[perm][order2])
+        np.testing.assert_array_equal(labels, labels2)

@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.clustering import closure_assign
+from repro.core.lire import closure_assign
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
 from repro.spark_index import search as sp_search
@@ -87,8 +87,8 @@ class TestBuild:
         vecs, vids = base_data
         alive = store.centroid_index.alive_ids
         cents = store.centroid_index.centroids(alive)
-        assign = closure_assign(vecs, cents, max_replicas=1, eps=0.0)
-        primary = {int(v): int(alive[a[0]]) for v, a in zip(vids, assign)}
+        _, nearest = closure_assign(vecs, cents, max_replicas=1, eps=0.0)
+        primary = dict(zip(vids.tolist(), alive[nearest].tolist()))
         live = store.live_df().toPandas()
         member = live.groupby("vid")["pid"].apply(set).to_dict()
         assert all(primary[v] in member[v] for v in primary)
@@ -176,8 +176,8 @@ class TestUpdater:
         primary = updater.insert_batch(st, np.arange(2000, 2020), new)
         alive = st.centroid_index.alive_ids
         cents = st.centroid_index.centroids(alive)
-        expect = closure_assign(new, cents, max_replicas=1, eps=0.0)
-        np.testing.assert_array_equal(primary, [int(alive[a[0]]) for a in expect])
+        _, nearest = closure_assign(new, cents, max_replicas=1, eps=0.0)
+        np.testing.assert_array_equal(primary, alive[nearest])
 
     def test_insert_appends_without_rewrite(self, spark, base_data, tmp_path):
         vecs, vids = base_data
@@ -305,3 +305,45 @@ class TestCrossEngine:
             [len(np.intersect1d(core.search(q, 10)[0], gt[i])) / 10 for i, q in enumerate(qs)]
         )
         assert abs(rec_spark - rec_core) < 0.08
+
+    def test_split_and_reassign_round_matches_core_engine(self, spark, base_data, tmp_path):
+        """One split-and-reassign round from the same build and the same
+        insert batch leaves both engines with identical live postings and
+        identical top-10 answers: every decision of the round is the
+        planner's, so only storage and execution differ."""
+        vecs, vids = base_data
+        cfg = small_cfg()
+        st = build_index(spark, vecs[:400], vids[:400], cfg, str(tmp_path / "x3"))
+        core = SPFreshIndex.build(vecs[:400].astype(np.float32), vids[:400], cfg)
+        # Overflow exactly one posting, the longest, with vectors close to
+        # its centroid (their closure is that posting alone).
+        sizes = core.posting_lengths()
+        pid = max(sizes, key=sizes.get)
+        n_new = cfg.split_limit - sizes[pid] + 6
+        rng = np.random.default_rng(19)
+        new = (core.centroid_index.centroid(pid) + rng.normal(0, 1.0, (n_new, 8))).astype(np.float32)
+        nvids = np.arange(8000, 8000 + n_new)
+        core.insert_batch(nvids, new)
+        core.process_jobs()
+        updater.insert_batch(st, nvids, new.astype(np.float64))
+        stats = rebalance(st, max_rounds=1)
+        assert core.stats.splits == stats.splits == 1
+        assert core.stats.reassign_moved == stats.reassign_moved > 0
+        assert st.live_sizes()["n_live"].max() <= cfg.split_limit  # no cascade pending
+
+        spark_members = {
+            int(p): sorted(g.tolist())
+            for p, g in st.live_df().toPandas().groupby("pid")["vid"]
+        }
+        core_members = {}
+        for p in core.controller.posting_ids:
+            live = core._live(core.controller.get(p)[0])
+            if len(live):
+                core_members[p] = sorted(live.vids.tolist())
+        assert spark_members == core_members
+
+        qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=18).astype(np.float32)
+        spark_res = sp_search.search_results_matrix(st, qs.astype(np.float64), k=10)
+        for q, got in zip(qs, spark_res):
+            np.testing.assert_array_equal(got, core.search(q, 10)[0])
+

@@ -1,36 +1,8 @@
-"""Tests for the synthetic data generators (provided TPC-H-lite + the
-vector extensions) and an oracle sanity check."""
+"""Tests for the synthetic vector generators."""
 import numpy as np
 import pytest
 
 from repro import synth_data
-from repro.oracle import assert_equivalent
-
-
-class TestTpchLite:
-    def test_lineitem_schema_and_scale(self, spark):
-        df = synth_data.lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns and "l_shipdate" in df.columns
-
-    def test_orders_keys_dense(self, spark):
-        df = synth_data.orders(spark, sf=0.001).toPandas()
-        assert df["o_orderkey"].min() == 1 and df["o_orderkey"].max() == len(df)
-
-    def test_oracle_agg_roundtrip(self, spark):
-        """Exercise the provided DuckDB oracle on a provided generator."""
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
-        )
-
-    def test_deterministic_in_seed(self, spark):
-        a = synth_data.customer(spark, sf=0.001, seed=2).toPandas()
-        b = synth_data.customer(spark, sf=0.001, seed=2).toPandas()
-        assert a.equals(b)
 
 
 class TestVectorGenerators:
