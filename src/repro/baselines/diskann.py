@@ -223,9 +223,6 @@ class VamanaGraph:
 @dataclass
 class MergeStats:
     merges: int = 0
-    last_merge_inserts: int = 0
-    last_merge_repairs: int = 0
-    merge_wall_seconds: float = 0.0
     insert_cost: SearchCost = field(default_factory=SearchCost)
 
 
@@ -284,31 +281,23 @@ class FreshDiskANN:
 
     def streaming_merge(self) -> None:
         """Fold delta into main: delete-consolidate, then patch-insert."""
-        import time
-
-        t0 = time.perf_counter()
         for vid in list(self.tombstones):
             if self.main.contains(vid):
                 self.main.delete(vid)
             if self.delta.contains(vid):
                 self.delta.delete(vid)
-        repairs = self.main.consolidate_deletes()
-        inserted = 0
+        self.main.consolidate_deletes()
         for pos in self.delta.live_positions:
             vid = self.delta._vids[pos]
             if vid in self.tombstones:
                 continue
             self.main.insert(vid, self.delta._vecs[pos])
-            inserted += 1
         self.delta = VamanaGraph(
             self.dim, R=self.main.R, L=self.main.L, alpha=self.main.alpha
         )
         self.tombstones = set()
         self.updates_since_merge = 0
         self.stats.merges += 1
-        self.stats.last_merge_inserts = inserted
-        self.stats.last_merge_repairs = repairs
-        self.stats.merge_wall_seconds = time.perf_counter() - t0
 
     # -- search -----------------------------------------------------------
     def search(self, q: np.ndarray, k: int) -> tuple[list[int], SearchCost, SearchCost]:

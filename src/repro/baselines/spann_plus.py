@@ -18,8 +18,9 @@ from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 
 
 def spann_plus_config(config: SPFreshConfig) -> SPFreshConfig:
-    """Derive the SPANN+ configuration from an SPFresh one."""
-    return dataclasses.replace(config, rebalance=False, reassign=False, merge=False)
+    """Derive the SPANN+ configuration from an SPFresh one: the Local
+    Rebuilder off, which also rules out reassignment and merges."""
+    return dataclasses.replace(config, rebalance=False)
 
 
 def build_spann_plus(

@@ -209,20 +209,3 @@ class BlockController:
         entry = self._mapping.pop(pid)
         self._release(entry.block_ids)
         return 0.0
-
-    # -- snapshot support (§4.4) -----------------------------------------
-    def state(self) -> dict:
-        """Serializable controller state (mapping, free pool, payloads)."""
-        return {
-            "mapping": {pid: (e.length, list(e.block_ids)) for pid, e in self._mapping.items()},
-            "next_block": self._next_block,
-            "free": list(self._free),
-            "blocks": dict(self.ssd._blocks),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._mapping = {pid: _MapEntry(ln, list(bs)) for pid, (ln, bs) in state["mapping"].items()}
-        self._next_block = state["next_block"]
-        self._free = list(state["free"])
-        self.ssd._blocks = dict(state["blocks"])
-        self.pre_release = []

@@ -53,8 +53,8 @@ class SPFreshConfig:
     max_replicas: int = 4  # closure replication cap (paper avg 5.47 replicas)
     closure_eps: float = 0.10
     rebalance: bool = True  # False → SPANN+ (append-only + GC)
-    reassign: bool = True  # False → "in-place + split" ablation
-    merge: bool = True
+    # False → "in-place + split" ablation; no effect without the rebalancer
+    reassign: bool = True
     seed: int = 0
 
 
@@ -208,7 +208,6 @@ class SPFreshIndex:
             all_d.append(d)
             if (
                 self.config.rebalance
-                and self.config.merge
                 and len(live) < self.config.merge_limit
                 and len(self.centroid_index) > 1
                 and ("merge", pid) not in self._pending
@@ -303,7 +302,7 @@ class SPFreshIndex:
             self._maybe_enqueue_split(npid, depth + 1)
 
     def _merge(self, pid: int) -> None:
-        if not self.controller.exists(pid) or not self.config.rebalance or not self.config.merge:
+        if not self.controller.exists(pid) or not self.config.rebalance:
             return
         posting, io = self.controller.get(pid)
         live = self._live(posting)

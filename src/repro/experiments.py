@@ -20,14 +20,16 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.diskann import FreshDiskANN
-from repro.baselines.spann_plus import build_spann_plus
+from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
 from repro.baselines.static_index import static_rebuild
 from repro.core.pipeline import SearchScalingModel, UpdatePipelineModel
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.harness import (
     DiskANNAdapter,
     SPFreshAdapter,
+    measure_queries,
     recall_at_k,
+    replay,
     run_update_simulation,
 )
 from repro.synth_data import clustered_vectors, ground_truth_knn
@@ -35,9 +37,7 @@ from repro.workloads import make_workload
 
 
 def default_config(dim: int = 32, **kw) -> SPFreshConfig:
-    base = dict(dim=dim, split_limit=96, merge_limit=8, reassign_range=8, nprobe=8, seed=0)
-    base.update(kw)
-    return SPFreshConfig(**base)
+    return SPFreshConfig(dim=dim, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -109,45 +109,32 @@ def run_t1_rebuild_cost(*, n_base: int = 10_000, dim: int = 32, update_frac: flo
 def run_f2_inplace(*, n_total: int = 8_000, dim: int = 32, n_queries: int = 400):
     """Paper's §2.3 microbenchmark at 4:1 scale.
 
-    Static = an index built over all ``n_total`` vectors; In-place =
-    SPANN+ that started from the first 75% and absorbed the last quarter
-    as insert-only in-place appends (the paper applies 0.5M updates onto
-    a 1.5M base vs a 2M static index). The stream is the shifted SPACEV-
-    like mixture, so appends skew posting sizes.
+    Static = a fresh build over the final live set (all ``n_total``
+    vectors); In-place = SPANN+ that started from the first 75% and
+    absorbed the last quarter as insert-only in-place appends (the paper
+    applies 0.5M updates onto a 1.5M base vs a 2M static index). The
+    stream is the shifted SPACEV-like mixture, so appends skew posting
+    sizes.
     """
     n_base = int(n_total * 0.75)
     n_epochs = 25
     rate = (n_total - n_base) / n_base / n_epochs
     cfg = default_config(dim)
-
-    def stream():
-        return make_workload(
-            "spacev", n_base=n_base, dim=dim, n_clusters=64, n_epochs=n_epochs,
-            rate=rate, delete_rate=0.0, n_queries=n_queries, seed=0,
-        )
-
+    wl = make_workload(
+        "spacev", n_base=n_base, dim=dim, n_clusters=64, n_epochs=n_epochs,
+        rate=rate, delete_rate=0.0, n_queries=n_queries, seed=0,
+    )
+    inplace = SPFreshAdapter(build_spann_plus(wl.base_vecs, wl.base_vids, cfg), "In-place (SPANN+)")
+    replay(inplace, wl)
+    vids, vecs = wl.live_arrays()
+    static = SPFreshAdapter(static_rebuild(vecs, vids, cfg)[0], "Static")
     rows = []
-    # In-place: replay the stream through SPANN+
-    wl = stream()
-    system = SPFreshAdapter(build_spann_plus(wl.base_vecs, wl.base_vids, cfg), "In-place (SPANN+)")
-    for e in wl.epochs:
-        system.insert_batch(e.insert_vids, e.insert_vecs)
-        system.maintain()
-        wl.apply(e)
-    systems = [(system, wl)]
-    # Static: one build over the final live set
-    wl_s = stream()
-    for e in wl_s.epochs:
-        wl_s.apply(e)
-    vids, vecs = wl_s.live_arrays()
-    systems.insert(0, (SPFreshAdapter(SPFreshIndex.build(vecs, vids, cfg), "Static"), wl_s))
-    for system, wl_x in systems:
-        _, gt = wl_x.ground_truth(10)
-        results, lats = system.search_batch(wl_x.query_vecs, 10)
+    for system in (static, inplace):
+        recall, lats = measure_queries(system, wl)
         rows.append(
             {
                 "system": system.name,
-                "recall@10": recall_at_k(results, gt, 10),
+                "recall@10": recall,
                 "p50_ms": np.quantile(lats, 0.5) / 1000,
                 "p90_ms": np.quantile(lats, 0.9) / 1000,
                 "p99_ms": np.quantile(lats, 0.99) / 1000,
@@ -212,16 +199,7 @@ def run_f7_update_sim(
         res = run_update_simulation(system, wl, k=10, measure_every=measure_every)
         out[name] = res.timeseries
         if name == "SPFresh":
-            s = system.index.stats
-            lire_stats = {
-                "rebalance_insert_frac": s.inserts_triggering_rebalance / max(1, s.inserts),
-                "splits": s.splits,
-                "max_cascade_depth": s.max_cascade_depth,
-                "merges": s.merges,
-                "merge_frac_of_updates": s.merges / max(1, s.inserts + s.deletes),
-                "avg_evaluated_per_reassign": s.reassign_evaluated / max(1, s.reassign_jobs),
-                "avg_moved_per_reassign": s.reassign_moved / max(1, s.reassign_jobs),
-            }
+            lire_stats = system.lire_stats()
     return out, lire_stats
 
 
@@ -358,50 +336,38 @@ def run_f10_ablation(
 ):
     """Four variants under the shifted stream, recall-vs-latency per nprobe:
     append-only (SPANN+), +split, +split+reassign (SPFresh), Static."""
-    rate = 0.02
+    cfg = default_config(dim)
     variants = {
-        "in-place only (SPANN+)": dict(rebalance=False, reassign=False, merge=False),
-        "in-place + split": dict(rebalance=True, reassign=False, merge=True),
-        "in-place + split + reassign (SPFresh)": dict(rebalance=True, reassign=True, merge=True),
+        "in-place only (SPANN+)": spann_plus_config(cfg),
+        "in-place + split": dataclasses.replace(cfg, reassign=False),
+        "in-place + split + reassign (SPFresh)": cfg,
     }
     rows = []
-    for name, flags in variants.items():
+    for name, variant in variants.items():
         wl = make_workload(
             "spacev", n_base=n_base, dim=dim, n_clusters=64,
-            n_epochs=n_epochs, rate=rate, n_queries=n_queries, seed=0,
+            n_epochs=n_epochs, rate=0.02, n_queries=n_queries, seed=0,
         )
-        cfg = default_config(dim, **flags)
-        system = SPFreshAdapter(SPFreshIndex.build(wl.base_vecs, wl.base_vids, cfg), name)
-        for e in wl.epochs:
-            system.delete_batch(e.delete_vids)
-            system.insert_batch(e.insert_vids, e.insert_vecs)
-            system.maintain()
-            wl.apply(e)
-        rows.extend(_tradeoff_rows(system, wl, name, nprobes))
+        system = SPFreshAdapter(SPFreshIndex.build(wl.base_vecs, wl.base_vids, variant), name)
+        replay(system, wl)
+        rows.extend(_tradeoff_rows(system, wl, nprobes))
     # Static reference over the final live set
-    wl_static = make_workload(
-        "spacev", n_base=n_base, dim=dim, n_clusters=64,
-        n_epochs=n_epochs, rate=rate, n_queries=n_queries, seed=0,
-    )
-    for e in wl_static.epochs:
-        wl_static.apply(e)
-    vids, vecs = wl_static.live_arrays()
-    system = SPFreshAdapter(SPFreshIndex.build(vecs, vids, default_config(dim)), "Static")
-    rows.extend(_tradeoff_rows(system, wl_static, "Static", nprobes))
+    vids, vecs = wl.live_arrays()
+    static = SPFreshAdapter(static_rebuild(vecs, vids, cfg)[0], "Static")
+    rows.extend(_tradeoff_rows(static, wl, nprobes))
     return pd.DataFrame(rows)
 
 
-def _tradeoff_rows(system: SPFreshAdapter, wl, name: str, nprobes) -> list[dict]:
-    _, gt = wl.ground_truth(10)
+def _tradeoff_rows(system: SPFreshAdapter, wl, nprobes) -> list[dict]:
     out = []
     for nprobe in nprobes:
         system.index.config = dataclasses.replace(system.index.config, nprobe=nprobe)
-        results, lats = system.search_batch(wl.query_vecs, 10)
+        recall, lats = measure_queries(system, wl)
         out.append(
             {
-                "system": name,
+                "system": system.name,
                 "nprobe": nprobe,
-                "recall@10": recall_at_k(results, gt, 10),
+                "recall@10": recall,
                 "avg_ms": float(np.mean(lats)) / 1000,
                 "p99_ms": float(np.quantile(lats, 0.99)) / 1000,
             }
@@ -432,18 +398,13 @@ def run_f11_reassign_range(
         )
         cfg = default_config(dim, reassign_range=rng, max_replicas=1, nprobe=4)
         system = SPFreshAdapter(SPFreshIndex.build(wl.base_vecs, wl.base_vids, cfg))
-        for e in wl.epochs:
-            system.delete_batch(e.delete_vids)
-            system.insert_batch(e.insert_vids, e.insert_vecs)
-            system.maintain()
-            wl.apply(e)
-        _, gt = wl.ground_truth(10)
-        results, lats = system.search_batch(wl.query_vecs, 10)
+        replay(system, wl)
+        recall, lats = measure_queries(system, wl)
         s = system.index.stats
         rows.append(
             {
                 "reassign_range": rng,
-                "recall@10": recall_at_k(results, gt, 10),
+                "recall@10": recall,
                 "avg_ms": float(np.mean(lats)) / 1000,
                 "reassign_evaluated": s.reassign_evaluated,
                 "reassign_moved": s.reassign_moved,
@@ -469,18 +430,13 @@ def run_f12_pipeline(
         "spacev", n_base=n_base, dim=dim, n_clusters=64,
         n_epochs=max(1, n_updates // max(1, int(n_base * 0.01))), n_queries=10, seed=0,
     )
-    idx = SPFreshIndex.build(wl.base_vecs, wl.base_vids, cfg)
-    fore_us_total = 0.0
-    n_ins = 0
-    for e in wl.epochs:
-        for v in e.delete_vids:
-            idx.delete(int(v))
-        lats = idx.insert_batch(e.insert_vids, e.insert_vecs)
-        fore_us_total += float(lats.sum())
-        n_ins += len(lats)
-        idx.process_jobs()
-    fore_us = fore_us_total / max(1, n_ins)
-    back_us = (idx.stats.background_io_us + idx.stats.background_cpu_us) / max(1, n_ins)
+    system = SPFreshAdapter(SPFreshIndex.build(wl.base_vecs, wl.base_vids, cfg))
+    insert_lats: list[np.ndarray] = []
+    replay(system, wl, lambda _, lats: insert_lats.append(lats))
+    n_ins = sum(len(lats) for lats in insert_lats)
+    fore_us = sum(float(lats.sum()) for lats in insert_lats) / max(1, n_ins)
+    s = system.index.stats
+    back_us = (s.background_io_us + s.background_cpu_us) / max(1, n_ins)
     model = UpdatePipelineModel(fore_us_per_update=fore_us, back_us_per_update=back_us)
     fore_sweep = pd.DataFrame(
         {

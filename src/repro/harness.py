@@ -2,14 +2,17 @@
 
 Adapters give every system the same interface (insert/delete/search with
 simulated-latency returns, end-of-epoch ``maintain``, a DRAM model and
-extra stats); ``run_update_simulation`` replays a workload and collects
-the paper's Fig. 7/9 time-series metrics — recall@K, search latency
-percentiles (simulated ms), insert latency/throughput, memory — plus the
-§5.2.2 LIRE statistics.
+extra stats). ``replay`` is the one epoch loop every experiment feeds a
+system through; ``measure_queries`` is the one query-set measurement.
+``run_update_simulation`` replays a workload and collects the paper's
+Fig. 7/9 time-series metrics — recall@K, search latency percentiles
+(simulated ms), insert latency/throughput, memory — plus the §5.2.2 LIRE
+statistics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -53,6 +56,19 @@ class SPFreshAdapter:
             "rebalance_insert_frac": s.inserts_triggering_rebalance / max(1, s.inserts),
             "max_cascade_depth": s.max_cascade_depth,
             "n_postings": len(self.index.centroid_index),
+        }
+
+    def lire_stats(self) -> dict:
+        """The paper's §5.2.2 LIRE statistics over the whole run."""
+        s = self.index.stats
+        return {
+            "rebalance_insert_frac": s.inserts_triggering_rebalance / max(1, s.inserts),
+            "splits": s.splits,
+            "max_cascade_depth": s.max_cascade_depth,
+            "merges": s.merges,
+            "merge_frac_of_updates": s.merges / max(1, s.inserts + s.deletes),
+            "avg_evaluated_per_reassign": s.reassign_evaluated / max(1, s.reassign_jobs),
+            "avg_moved_per_reassign": s.reassign_moved / max(1, s.reassign_jobs),
         }
 
 
@@ -160,13 +176,41 @@ def recall_at_k(results: list[np.ndarray], gt: np.ndarray, k: int) -> float:
     return float(np.mean(hits))
 
 
+def measure_queries(system, workload: UpdateWorkload, k: int = 10) -> tuple[float, np.ndarray]:
+    """Run the workload's query set; returns (recall@k against exact ground
+    truth over the *current live set*, per-query simulated latency µs)."""
+    _, gt = workload.ground_truth(k)
+    results, lats = system.search_batch(workload.query_vecs, k)
+    return recall_at_k(results, gt, k), lats
+
+
+def replay(
+    system,
+    workload: UpdateWorkload,
+    on_epoch: Callable[[int, np.ndarray], None] | None = None,
+) -> None:
+    """Feed every epoch to ``system`` under the paper's daily protocol
+    (§5.1): delete, insert, then the background work those updates cause.
+
+    After epoch ``i`` (1-based) is applied to the workload's live set,
+    ``on_epoch(i, insert_latencies)`` receives that epoch's per-insert
+    simulated latencies.
+    """
+    for i, epoch in enumerate(workload.epochs, start=1):
+        system.delete_batch(epoch.delete_vids)
+        ins_lats = system.insert_batch(epoch.insert_vids, epoch.insert_vecs)
+        system.maintain()
+        workload.apply(epoch)
+        if on_epoch is not None:
+            on_epoch(i, ins_lats)
+
+
 def run_update_simulation(
     system,
     workload: UpdateWorkload,
     *,
     k: int = 10,
     measure_every: int = 5,
-    n_latency_queries: int | None = None,
 ) -> SimulationResult:
     """Replay the workload through ``system``; returns per-epoch metrics.
 
@@ -176,17 +220,10 @@ def run_update_simulation(
     """
     rows = []
 
-    def measure(epoch: int, insert_lats: np.ndarray | None) -> None:
-        _, gt = workload.ground_truth(k)
-        queries = workload.query_vecs
-        if n_latency_queries and n_latency_queries > len(queries):
-            reps = int(np.ceil(n_latency_queries / len(queries)))
-            queries = np.tile(queries, (reps, 1))[:n_latency_queries]
-            results, lats = system.search_batch(queries, k)
-            rec = recall_at_k(results[: len(workload.query_vecs)], gt, k)
-        else:
-            results, lats = system.search_batch(queries, k)
-            rec = recall_at_k(results, gt, k)
+    def measure(epoch: int, insert_lats: np.ndarray | None = None) -> None:
+        if epoch % measure_every and epoch != len(workload.epochs):
+            return
+        rec, lats = measure_queries(system, workload, k)
         row = {"epoch": epoch, "recall": rec, **_percentiles(lats)}
         if insert_lats is not None and len(insert_lats):
             row["insert_avg_ms"] = float(insert_lats.mean()) / 1000.0
@@ -195,14 +232,8 @@ def run_update_simulation(
         row.update(system.extra_stats())
         rows.append(row)
 
-    measure(0, None)
-    for i, epoch in enumerate(workload.epochs, start=1):
-        system.delete_batch(epoch.delete_vids)
-        ins_lats = system.insert_batch(epoch.insert_vids, epoch.insert_vecs)
-        system.maintain()
-        workload.apply(epoch)
-        if i % measure_every == 0 or i == len(workload.epochs):
-            measure(i, ins_lats)
+    measure(0)
+    replay(system, workload, measure)
     return SimulationResult(
         name=getattr(system, "name", type(system).__name__),
         timeseries=pd.DataFrame(rows),

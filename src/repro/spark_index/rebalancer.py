@@ -257,7 +257,7 @@ def rebalance(store: SparkPostingStore, *, max_rounds: int = 20) -> RebalanceSta
         oversized = sizes[sizes["n_live"] > cfg.split_limit]["pid"].tolist()
         undersized = (
             sizes[sizes["n_live"] < cfg.merge_limit]["pid"].tolist()
-            if cfg.merge and len(store.centroid_index) > 1
+            if len(store.centroid_index) > 1
             else []
         )
         if not oversized and not undersized:

@@ -8,12 +8,15 @@ map stay in driver memory like the paper's in-memory SPTAG index and
 version map. Each compaction writes a new dataset generation to a
 ``postings_v{n}`` dir and leaves the old one untouched (copy-on-write at
 dataset granularity); the generation in use is the one recorded in the
-driver metadata that ``save_meta`` writes and ``load`` reads.
+driver metadata that ``save_meta`` writes and ``load`` reads, and
+``save_meta`` deletes the generations older than that one.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import re
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +56,6 @@ class StoreStats:
     """Dataset-level job accounting (the Spark analog of IOPS counters)."""
 
     appends: int = 0
-    compactions: int = 0
-    rows_appended: int = 0
 
 
 class SparkPostingStore:
@@ -79,7 +80,6 @@ class SparkPostingStore:
         """Write a full new dataset generation and switch to it."""
         self._gen += 1
         df.write.mode("overwrite").parquet(self.postings_path)
-        self.stats.compactions += 1
 
     def append_rows(self, pdf: pd.DataFrame) -> None:
         """Append new posting tuples (the APPEND path: files only added)."""
@@ -88,7 +88,6 @@ class SparkPostingStore:
         df = self.spark.createDataFrame(pdf, schema=POSTING_SCHEMA)
         df.write.mode("append").parquet(self.postings_path)
         self.stats.appends += 1
-        self.stats.rows_appended += len(pdf)
 
     def postings_df(self) -> DataFrame:
         return self.spark.read.schema(POSTING_SCHEMA).parquet(self.postings_path)
@@ -157,7 +156,11 @@ class SparkPostingStore:
 
     # -- persistence of driver metadata (§4.4 snapshot analog) -----------
     def save_meta(self) -> None:
-        with open(os.path.join(self.root, "meta.pkl"), "wb") as fh:
+        """Commit the driver metadata (tmp file + ``os.replace``, so a crash
+        leaves the old or the new record whole), then delete the dataset
+        generations older than the one it records."""
+        path = os.path.join(self.root, "meta.pkl")
+        with open(path + ".tmp", "wb") as fh:
             pickle.dump(
                 {
                     "config": self.config,
@@ -167,6 +170,11 @@ class SparkPostingStore:
                 },
                 fh,
             )
+        os.replace(path + ".tmp", path)
+        for name in os.listdir(self.root):
+            m = re.fullmatch(r"postings_v(\d+)", name)
+            if m and int(m.group(1)) < self._gen:
+                shutil.rmtree(os.path.join(self.root, name))
 
     @classmethod
     def load(cls, spark: SparkSession, root: str) -> "SparkPostingStore":

@@ -10,8 +10,6 @@ DESIGN.md §2 for the substitution argument). Generators are deterministic
 in ``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -78,11 +76,3 @@ def ground_truth_knn(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarra
         idx = np.argpartition(d, k)[:k]
         out[i] = idx[np.argsort(d[idx], kind="stable")]
     return out
-
-
-def vectors_df(spark: SparkSession, vecs: np.ndarray, ids: np.ndarray | None = None) -> DataFrame:
-    """Wrap a vector matrix as a Spark DataFrame (vid: long, vec: array<float>)."""
-    if ids is None:
-        ids = np.arange(len(vecs))
-    pdf = pd.DataFrame({"vid": ids.astype(np.int64), "vec": [v.astype(np.float32).tolist() for v in vecs]})
-    return spark.createDataFrame(pdf)

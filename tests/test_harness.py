@@ -10,6 +10,7 @@ from repro.harness import (
     SPFreshAdapter,
     recall_at_k,
     render_table,
+    replay,
     run_update_simulation,
 )
 from repro.workloads import make_workload
@@ -36,6 +37,47 @@ class TestRecallAtK:
     def test_empty_result(self):
         gt = np.array([[1, 2]])
         assert recall_at_k([np.array([], dtype=np.int64)], gt, 2) == 0.0
+
+
+class RecordingSystem:
+    """Fake system that logs every call the harness makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def delete_batch(self, vids):
+        self.calls.append(("delete", list(vids)))
+
+    def insert_batch(self, vids, vecs):
+        self.calls.append(("insert", list(vids)))
+        return vids.astype(np.float64)  # distinct per epoch
+
+    def maintain(self):
+        self.calls.append(("maintain",))
+
+
+class TestReplay:
+    def test_epoch_protocol(self):
+        wl = make_workload("spacev", n_base=100, dim=4, n_clusters=4, n_epochs=3, rate=0.05)
+        system = RecordingSystem()
+        seen = []
+
+        def on_epoch(i, lats):
+            live = set(wl.live)
+            epoch = wl.epochs[i - 1]
+            # the epoch is applied to the live set before on_epoch runs
+            assert set(epoch.insert_vids.tolist()) <= live
+            assert not set(epoch.delete_vids.tolist()) & live
+            seen.append((i, lats))
+
+        replay(system, wl, on_epoch)
+        expect = []
+        for e in wl.epochs:
+            expect += [("delete", list(e.delete_vids)), ("insert", list(e.insert_vids)), ("maintain",)]
+        assert system.calls == expect
+        assert [i for i, _ in seen] == [1, 2, 3]
+        for (_, lats), e in zip(seen, wl.epochs):
+            np.testing.assert_array_equal(lats, e.insert_vids.astype(np.float64))
 
 
 class TestSPFreshSimulation:

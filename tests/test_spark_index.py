@@ -4,6 +4,8 @@ Every relational claim of the Spark pipeline (probe selection, live-row
 semantics, full clustered search) is verified by running the equivalent
 SQL on DuckDB over the same input tables via ``repro.oracle``.
 """
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -16,6 +18,7 @@ from repro.spark_index import search as sp_search
 from repro.spark_index import updater
 from repro.spark_index.build import build_index
 from repro.spark_index.rebalancer import compact, rebalance
+from repro.spark_index.store import SparkPostingStore
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
 
@@ -94,8 +97,6 @@ class TestBuild:
         assert all(primary[v] in member[v] for v in primary)
 
     def test_metadata_persisted(self, spark, store):
-        from repro.spark_index.store import SparkPostingStore
-
         loaded = SparkPostingStore.load(spark, store.root)
         assert len(loaded.centroid_index) == len(store.centroid_index)
         assert loaded.version_map.memory_bytes() == store.version_map.memory_bytes()
@@ -237,6 +238,18 @@ class TestRebalance:
             if nearest not in member[vid]:
                 viol += 1
         assert viol / len(all_vecs) < 0.02
+
+    def test_only_recorded_generation_kept(self, spark, rebalanced):
+        st, _ = rebalanced
+        gens = [n for n in os.listdir(st.root) if n.startswith("postings_v")]
+        assert gens == [f"postings_v{st._gen}"]
+        loaded = SparkPostingStore.load(spark, st.root)
+        qs = clustered_vectors(n=10, dim=8, n_clusters=8, seed=30).astype(np.float64)
+        for a, b in zip(
+            sp_search.search_results_matrix(loaded, qs, k=5),
+            sp_search.search_results_matrix(st, qs, k=5),
+        ):
+            np.testing.assert_array_equal(a, b)
 
     def test_merge_removes_undersized(self, spark, base_data, tmp_path):
         vecs, vids = base_data

@@ -223,7 +223,7 @@ class TestMerge:
 class TestSpannPlus:
     def test_config_disables_rebalancer(self):
         cfg = spann_plus_config(small_config())
-        assert not cfg.rebalance and not cfg.reassign and not cfg.merge
+        assert not cfg.rebalance
 
     def test_postings_grow_unbounded(self):
         vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=22)

@@ -49,10 +49,3 @@ class TestVectorGenerators:
         for i in range(10):
             expect = np.argsort(d[i], kind="stable")[:5]
             np.testing.assert_array_equal(np.sort(gt[i]), np.sort(expect))
-
-    def test_vectors_df_roundtrip(self, spark):
-        v = synth_data.clustered_vectors(n=20, dim=4, seed=5)
-        df = synth_data.vectors_df(spark, v)
-        pdf = df.toPandas().sort_values("vid")
-        back = np.stack(pdf["vec"].map(np.asarray)).astype(np.float32)
-        np.testing.assert_allclose(back, v, rtol=1e-6)
