@@ -46,9 +46,13 @@ class Posting:
 
     @staticmethod
     def concat(parts: list["Posting"]) -> "Posting":
+        """One posting of the non-empty parts, in order; a single such part
+        is returned as it is, not copied."""
         parts = [p for p in parts if len(p)]
         if not parts:
             raise ValueError("concat of empty parts needs a dim; use Posting.empty")
+        if len(parts) == 1:
+            return parts[0]
         return Posting(
             np.concatenate([p.vids for p in parts]),
             np.concatenate([p.versions for p in parts]),
@@ -116,8 +120,14 @@ class BlockController:
 
     # -- helpers ----------------------------------------------------------
     def _chunk(self, posting: Posting) -> list[Posting]:
+        """Block payloads of a posting, read-only: GET hands a one-block
+        posting's payload to the caller without a copy."""
         epb = self.entries_per_block
-        return [posting.slice(i, i + epb) for i in range(0, len(posting), epb)]
+        chunks = [posting.slice(i, i + epb) for i in range(0, len(posting), epb)]
+        for c in chunks:
+            for a in (c.vids, c.versions, c.vecs):
+                a.flags.writeable = False
+        return chunks
 
     def exists(self, pid: int) -> bool:
         return pid in self._mapping
@@ -149,7 +159,8 @@ class BlockController:
         return cost
 
     def get(self, pid: int) -> tuple[Posting, float]:
-        """GET: read all blocks of a posting (one batched I/O)."""
+        """GET: read all blocks of a posting (one batched I/O). The result
+        may share the stored blocks' read-only arrays."""
         entry = self._mapping[pid]
         if not entry.block_ids:
             return Posting.empty(self.dim), 0.0

@@ -122,14 +122,26 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     def _live(self, posting: Posting) -> Posting:
         """Drop stale tuples and duplicate replicas within one posting."""
-        if not len(posting):
-            return posting
-        stale = self.version_map.is_stale(posting.vids, posting.versions)
-        live = posting.take(~stale)
-        if len(live):
-            _, first = np.unique(live.vids, return_index=True)
-            live = live.take(np.sort(first))
-        return live
+        _, live, _ = self._live_rows([posting])
+        return posting.take(live)
+
+    def _live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live tuples of several postings, found in one pass.
+
+        A tuple is live if it is not stale and is the first replica of its
+        vid within its posting. Returns the postings' concatenated vids, the
+        positions of the live tuples in that concatenation (grouped by
+        posting, in tuple order) and each posting's live count.
+        """
+        seg = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
+        vids = np.concatenate([p.vids for p in postings])
+        stale = self.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
+        live = np.flatnonzero(~stale)
+        live = live[np.lexsort((vids[live], seg[live]))]
+        first = np.ones(len(live), dtype=bool)
+        first[1:] = (seg[live[1:]] != seg[live[:-1]]) | (vids[live[1:]] != vids[live[:-1]])
+        live = np.sort(live[first])
+        return vids, live, np.bincount(seg[live], minlength=len(postings))
 
     def _maybe_enqueue_split(self, pid: int, depth: int) -> None:
         if not self.controller.exists(pid):
@@ -154,9 +166,27 @@ class SPFreshIndex:
     def insert(self, vid: int, vec: np.ndarray) -> float:
         """Insert one vector; returns simulated foreground latency (µs)."""
         vec = np.asarray(vec, dtype=np.float32)
+        _, pids = lire.closure_pids(self.centroid_index, vec[None, :], self.config)
+        return self._insert(vid, vec, pids)
+
+    def insert_batch(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """Insert vectors in arrival order; returns per-vector simulated
+        latency (µs). One closure assignment navigates the whole batch:
+        inserts append only, and only the Local Rebuilder moves centroids."""
+        vecs = np.asarray(vecs, dtype=np.float32)
+        if not len(vecs):
+            return np.empty(0)
+        rows, pids = lire.closure_pids(self.centroid_index, vecs, self.config)
+        bounds = np.searchsorted(rows, np.arange(len(vecs) + 1))
+        return np.asarray([
+            self._insert(int(vid), vec, pids[bounds[i] : bounds[i + 1]])
+            for i, (vid, vec) in enumerate(zip(vids, vecs))
+        ])
+
+    def _insert(self, vid: int, vec: np.ndarray, pids: np.ndarray) -> float:
+        """Append one vector to its closure postings ``pids``."""
         self.version_map.add(vid)
         self._vecs[vid] = vec
-        _, pids = lire.closure_pids(self.centroid_index, vec[None, :], self.config)
         io = 0.0
         tail = Posting(
             np.asarray([vid], dtype=np.int64),
@@ -164,9 +194,9 @@ class SPFreshIndex:
             vec[None, :],
         )
         before_jobs = len(self.jobs)
-        for pid in pids:
-            io += self.controller.append(int(pid), tail)
-            self._maybe_enqueue_split(int(pid), 0)
+        for pid in pids.tolist():
+            io += self.controller.append(pid, tail)
+            self._maybe_enqueue_split(pid, 0)
         if len(self.jobs) > before_jobs:
             self.stats.inserts_triggering_rebalance += 1
         self.stats.inserts += 1
@@ -174,10 +204,6 @@ class SPFreshIndex:
         return self.latency.insert_us(
             n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
         )
-
-    def insert_batch(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """Vectorised insert; returns per-vector simulated latency (µs)."""
-        return np.asarray([self.insert(int(v), x) for v, x in zip(vids, vecs)])
 
     def delete(self, vid: int) -> float:
         """Tombstone a vector (O(1), in-memory only); returns latency µs."""
@@ -191,53 +217,69 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
         """Top-k vector ids for one query; returns (ids, simulated µs)."""
-        q = np.asarray(q, dtype=np.float64)
-        pids = self.centroid_index.search(q, self.config.nprobe)
-        postings, io = self.controller.get_many([int(p) for p in pids])
-        self.stats.foreground_io_us += io
-        scanned = 0
-        all_vids: list[np.ndarray] = []
-        all_d: list[np.ndarray] = []
-        for pid, posting in postings.items():
-            scanned += len(posting)
-            live = self._live(posting)
-            if not len(live):
-                continue
-            d = pairwise_sq_l2(q[None, :], live.vecs)[0]
-            all_vids.append(live.vids)
-            all_d.append(d)
-            if (
-                self.config.rebalance
-                and len(live) < self.config.merge_limit
-                and len(self.centroid_index) > 1
-                and ("merge", pid) not in self._pending
-            ):
-                self._pending.add(("merge", pid))
-                self.jobs.append(("merge", pid))
-        lat = self.latency.search_us(
-            n_centroids_compared=len(self.centroid_index),
-            vectors_scanned=scanned,
-            dim=self.config.dim,
-            io_us=io,
-        )
-        if not all_vids:
-            return np.empty(0, dtype=np.int64), lat
-        vids = np.concatenate(all_vids)
-        d = np.concatenate(all_d)
+        ids, lats = self.search_batch(np.asarray(q)[None, :], k)
+        return ids[0], float(lats[0])
+
+    def search_batch(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Top-k vector ids per query row; returns (ids, simulated µs per query).
+
+        The batch navigates in one GEMM and filters stale replicas once over
+        the union of the postings it fetched. Each query is still charged as
+        if it ran alone: its own ParallelGET of its nprobe postings and a scan
+        of every tuple they hold.
+        """
+        cfg = self.config
+        qs = np.asarray(qs, dtype=np.float64)
+        n_centroids = len(self.centroid_index)
+        probed = self.centroid_index.search_batch(qs, cfg.nprobe).tolist()
+        slot: dict[int, int] = {}  # pid → its place among the fetched postings
+        fetched: list[Posting] = []
+        lats = np.empty(len(qs))
+        for i, pids in enumerate(probed):
+            postings, io = self.controller.get_many(pids)
+            self.stats.foreground_io_us += io
+            for pid, posting in postings.items():
+                if pid not in slot:
+                    slot[pid] = len(fetched)
+                    fetched.append(posting)
+            lats[i] = self.latency.search_us(
+                n_centroids_compared=n_centroids,
+                vectors_scanned=sum(map(len, postings.values())),
+                dim=cfg.dim,
+                io_us=io,
+            )
+        if not fetched:
+            return [np.empty(0, dtype=np.int64) for _ in qs], lats
+        all_vids, live, n_live = self._live_rows(fetched)
+        all_vecs = np.concatenate([p.vecs for p in fetched])
+        begin = np.cumsum(n_live) - n_live
+        if cfg.rebalance and n_centroids > 1:
+            for pid, j in slot.items():  # query order, then navigation order
+                if 0 < n_live[j] < cfg.merge_limit and ("merge", pid) not in self._pending:
+                    self._pending.add(("merge", pid))
+                    self.jobs.append(("merge", pid))
+        ids = []
+        for q, pids in zip(qs, probed):
+            js = np.asarray([slot[p] for p in pids], dtype=np.int64)
+            lens = n_live[js]
+            # the query's live rows, posting by posting in navigation order
+            at = np.repeat(begin[js] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+            rows = live[at]
+            ids.append(self._top_k(q, all_vids[rows], all_vecs[rows], k))
+        return ids, lats
+
+    @staticmethod
+    def _top_k(q: np.ndarray, vids: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
+        """The ``k`` nearest distinct vids among a query's scanned rows."""
+        if not len(vids):
+            return np.empty(0, dtype=np.int64)
+        d = pairwise_sq_l2(q[None, :], vecs)[0]
         # dedupe replicas: keep the smallest distance per vid
         order = np.lexsort((vids, d))
         vids, d = vids[order], d[order]
         _, first = np.unique(vids, return_index=True)
         vids, d = vids[first], d[first]
-        return vids[topk_indices(d, k)], lat
-
-    def search_batch(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
-        ids, lats = [], []
-        for q in qs:
-            r, l = self.search(q, k)
-            ids.append(r)
-            lats.append(l)
-        return ids, np.asarray(lats)
+        return vids[topk_indices(d, k)]
 
     # ------------------------------------------------------------------
     # Local Rebuilder (background, paper §4.2)

@@ -233,14 +233,11 @@ def run_f8_search_scaling(*, n_base: int = 8_000, dim: int = 32, n_queries: int 
     idx = SPFreshIndex.build(vecs, np.arange(n_base), cfg)
     qs = clustered_vectors(n=n_queries, dim=dim, n_clusters=64, seed=1)
     blocks0 = idx.ssd.counters.blocks_read
-    cpu_us = []
-    for q in qs:
-        _, lat = idx.search(q, 10)
-        cpu_us.append(lat)
+    _, lats = idx.search_batch(qs, 10)
     blocks_per_query = (idx.ssd.counters.blocks_read - blocks0) / n_queries
     # CPU part = simulated latency minus the IO part
     io_us_per_query = idx.ssd.read_cost_us(int(round(blocks_per_query)))
-    cpu_us_per_query = max(50.0, float(np.mean(cpu_us)) - io_us_per_query)
+    cpu_us_per_query = max(50.0, float(np.mean(lats)) - io_us_per_query)
     model = SearchScalingModel(
         cpu_us_per_query=cpu_us_per_query, blocks_per_query=blocks_per_query
     )

@@ -249,9 +249,17 @@ def compact(store: SparkPostingStore) -> None:
 
 
 def rebalance(store: SparkPostingStore, *, max_rounds: int = 20) -> RebalanceStats:
-    """Drain all split/merge/reassign work until the index is balanced."""
+    """Drain all split/merge/reassign work until the index is balanced.
+
+    With ``config.rebalance`` off (SPANN+) there is no such work: the call
+    only compacts away stale rows, the GC that SPANN+ keeps.
+    """
     cfg = store.config
     stats = RebalanceStats()
+    if not cfg.rebalance:
+        compact(store)
+        store.save_meta()
+        return stats
     for _ in range(max_rounds):
         sizes = store.live_sizes()
         oversized = sizes[sizes["n_live"] > cfg.split_limit]["pid"].tolist()

@@ -177,6 +177,32 @@ class TestParallelGet:
         assert postings == {} and cost == 0.0
 
 
+class TestReadOnlyBlocks:
+    """GET hands out a one-block posting's stored payload without copying
+    it, so a write into the result must fail instead of changing the disk."""
+
+    @pytest.mark.parametrize("field", ["vids", "versions", "vecs"])
+    def test_write_into_get_raises(self, ctl, field):
+        ctl.put(1, make_posting(5))
+        p, _ = ctl.get(1)
+        with pytest.raises(ValueError):
+            getattr(p, field)[0] = 7
+        np.testing.assert_array_equal(ctl.get(1)[0].vids, np.arange(5))
+
+    def test_write_into_get_many_raises(self, ctl):
+        ctl.put(1, make_posting(5))
+        ctl.append(1, make_posting(2, vid0=5))
+        postings, _ = ctl.get_many([1])
+        with pytest.raises(ValueError):
+            postings[1].vecs[0, 0] = -1.0
+        assert ctl.get(1)[0].vecs[0, 0] == 0.0
+
+    def test_callers_arrays_stay_writable(self, ctl):
+        p = make_posting(5)
+        ctl.put(1, p)
+        assert p.vids.flags.writeable and p.vecs.flags.writeable
+
+
 class TestPreRelease:
     """§4.4: blocks freed between snapshots must not be reused until the
     next snapshot lands (block-level CoW roll-back window)."""
@@ -211,6 +237,11 @@ class TestPosting:
         c = Posting.concat([a, b])
         assert len(c) == 5
         np.testing.assert_array_equal(c.slice(1, 4).vids, [1, 2, 3])
+
+    def test_concat_of_one_part_is_that_part(self):
+        p = make_posting(3)
+        assert Posting.concat([p]) is p
+        assert Posting.concat([Posting.empty(8), p, Posting.empty(8)]) is p
 
     def test_take(self):
         p = make_posting(5)

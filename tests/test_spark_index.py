@@ -11,6 +11,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.spann_plus import spann_plus_config
 from repro.core.lire import closure_assign
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
@@ -261,6 +262,25 @@ class TestRebalance:
         assert len(st.centroid_index) < n0
         live_vids = set(st.live_df().toPandas()["vid"].unique())
         assert live_vids == set(range(330, 400))
+
+    def test_spann_plus_config_only_compacts(self, spark, base_data, tmp_path):
+        vecs, vids = base_data
+        st = build_index(
+            spark, vecs[:400], vids[:400], spann_plus_config(small_cfg()), str(tmp_path / "sp")
+        )
+        new = clustered_vectors(n=250, dim=8, n_clusters=8, seed=16).astype(np.float64)
+        updater.insert_batch(st, np.arange(5000, 5250), new)
+        updater.delete_batch(st, np.arange(0, 40))
+        n_postings = len(st.centroid_index)
+        stats = rebalance(st)
+        assert (stats.splits, stats.merges, stats.reassign_moved) == (0, 0, 0)
+        assert len(st.centroid_index) == n_postings
+        assert st.live_sizes()["n_live"].max() > st.config.split_limit
+        assert st.postings_df().count() == st.live_df().count()  # stale rows compacted
+        live = np.arange(40, 400)
+        res = sp_search.search_results_matrix(st, np.vstack([vecs[live], new]), k=3)
+        for vid, r in zip(np.concatenate([live, np.arange(5000, 5250)]), res):
+            assert vid in r
 
     def test_compact_drops_stale_rows(self, spark, base_data, tmp_path):
         vecs, vids = base_data

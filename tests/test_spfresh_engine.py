@@ -1,9 +1,12 @@
 """Integration tests for the SPFresh engine (paper §3.2–§3.4, §4)."""
+import copy
+
 import numpy as np
 import pytest
 
 from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
-from repro.core.distances import pairwise_sq_l2
+from repro.core import lire
+from repro.core.distances import pairwise_sq_l2, topk_indices
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
@@ -87,6 +90,182 @@ class TestSearch:
         idx, vecs = built
         ids, _ = idx.search(vecs[0], 10)
         assert len(ids) == len(set(ids.tolist()))
+
+
+def per_query_search(idx: SPFreshIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """The Searcher before batching, kept as the reference: navigate, one
+    ParallelGET, then per posting a staleness filter and replica dedupe, a
+    distance scan and the merge trigger."""
+    cfg = idx.config
+    q = np.asarray(q, dtype=np.float64)
+    pids = idx.centroid_index.search(q, cfg.nprobe)
+    postings, io = idx.controller.get_many([int(p) for p in pids])
+    idx.stats.foreground_io_us += io
+    scanned = 0
+    all_vids, all_d = [], []
+    for pid, posting in postings.items():
+        scanned += len(posting)
+        live = posting.take(~idx.version_map.is_stale(posting.vids, posting.versions))
+        if len(live):  # the first replica of each vid within the posting
+            _, first = np.unique(live.vids, return_index=True)
+            live = live.take(np.sort(first))
+        if not len(live):
+            continue
+        all_vids.append(live.vids)
+        all_d.append(pairwise_sq_l2(q[None, :], live.vecs)[0])
+        if (
+            cfg.rebalance
+            and len(live) < cfg.merge_limit
+            and len(idx.centroid_index) > 1
+            and ("merge", pid) not in idx._pending
+        ):
+            idx._pending.add(("merge", pid))
+            idx.jobs.append(("merge", pid))
+    lat = idx.latency.search_us(
+        n_centroids_compared=len(idx.centroid_index), vectors_scanned=scanned,
+        dim=cfg.dim, io_us=io,
+    )
+    if not all_vids:
+        return np.empty(0, dtype=np.int64), lat
+    vids, d = np.concatenate(all_vids), np.concatenate(all_d)
+    order = np.lexsort((vids, d))
+    vids, d = vids[order], d[order]
+    _, first = np.unique(vids, return_index=True)
+    vids, d = vids[first], d[first]
+    return vids[topk_indices(d, k)], lat
+
+
+def live_vids(idx: SPFreshIndex, pid: int) -> np.ndarray:
+    """A posting's tuples that are not stale, duplicates kept."""
+    p, _ = idx.controller.get(pid)
+    return p.vids[~idx.version_map.is_stale(p.vids, p.versions)]
+
+
+@pytest.fixture(scope="module")
+def churned():
+    """An index after churn, with queries that probe each hard case: stale
+    replicas, a vid held twice by one posting after a merge, and a posting
+    with no tuples."""
+    idx = SPFreshIndex.build(
+        clustered_vectors(n=1000, dim=8, n_clusters=8, seed=40), np.arange(1000),
+        small_config(dim=8),
+    )
+    idx.insert_batch(np.arange(1000, 1400), clustered_vectors(n=400, dim=8, n_clusters=8, seed=41))
+    for v in np.random.default_rng(0).choice(1000, 200, replace=False):
+        idx.delete(int(v))
+    idx.process_jobs()
+    ctl = idx.controller
+    # A merge appends a posting's live tuples to its target; a vid the
+    # target already holds as a closure replica is then in it twice.
+    for pid in ctl.posting_ids:
+        target = lire.merge_target(idx.centroid_index, pid)
+        shared = np.intersect1d(live_vids(idx, pid), live_vids(idx, target))
+        if len(shared):
+            break
+    for v in np.setdiff1d(live_vids(idx, pid), shared[:1]):
+        idx.delete(int(v))
+    idx.jobs.append(("merge", pid))
+    idx.process_jobs()
+    dup = target
+    # Leave the target one tuple short of the merge limit only once its
+    # duplicate is dropped, as _live drops it.
+    held = live_vids(idx, dup)
+    for v in np.setdiff1d(held, shared[:1])[idx.config.merge_limit - 2 :]:
+        idx.delete(int(v))
+    # All of a posting deleted; its split job's GC rewrites it with no tuples.
+    empty = next(p for p in ctl.posting_ids if p != dup and len(live_vids(idx, p)) > 3)
+    for v in live_vids(idx, empty):
+        idx.delete(int(v))
+    idx.jobs.append(("split", empty, 0))
+    idx.process_jobs()
+    qs = np.vstack([
+        idx.centroid_index.centroids([dup, empty]),
+        clustered_vectors(n=60, dim=8, n_clusters=8, seed=42),
+    ])
+    return idx, qs, dup, empty
+
+
+class TestBatchedSearch:
+    """search_batch gives what the per-query Searcher gave, with the same
+    I/O accounting and the same merge jobs queued."""
+
+    def test_fixture_holds_the_hard_cases(self, churned):
+        idx, _, dup, empty = churned
+        held = live_vids(idx, dup)
+        assert len(held) == idx.config.merge_limit
+        assert len(np.unique(held)) == idx.config.merge_limit - 1
+        assert idx.controller.length(empty) == 0
+        stale = sum(
+            idx.controller.length(p) - len(live_vids(idx, p)) for p in idx.controller.posting_ids
+        )
+        assert stale > 0
+        assert not idx.jobs
+
+    def test_matches_per_query_searcher(self, churned):
+        idx, qs, dup, _ = churned
+        ref, new = copy.deepcopy(idx), copy.deepcopy(idx)
+        want = [per_query_search(ref, q, 10) for q in qs]
+        ids, lats = new.search_batch(qs, 10)
+        for (w_ids, w_lat), got, lat in zip(want, ids, lats):
+            np.testing.assert_array_equal(got, w_ids)
+            assert lat == w_lat
+        assert ("merge", dup) in new._pending
+        assert list(new.jobs) == list(ref.jobs)
+        assert new._pending == ref._pending
+        assert new.ssd.counters == ref.ssd.counters
+        assert new.stats == ref.stats
+
+    def test_batch_size_does_not_change_answers(self, churned):
+        idx, qs, _, _ = churned
+        runs = []
+        for b in (1, 8, len(qs)):
+            run = copy.deepcopy(idx)
+            ids, lats = [], []
+            for lo in range(0, len(qs), b):
+                i, l = run.search_batch(qs[lo : lo + b], 10)
+                ids += i
+                lats.append(l)
+            runs.append((ids, np.concatenate(lats), list(run.jobs), run.ssd.counters))
+        for ids, lats, jobs, counters in runs[1:]:
+            for a, b in zip(ids, runs[0][0]):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(lats, runs[0][1])
+            assert jobs == runs[0][2] and counters == runs[0][3]
+
+    def test_search_is_a_batch_of_one(self, churned):
+        idx, qs, _, _ = churned
+        one, batch = copy.deepcopy(idx), copy.deepcopy(idx)
+        ids, lat = one.search(qs[3], 10)
+        b_ids, b_lats = batch.search_batch(qs[3:4], 10)
+        np.testing.assert_array_equal(ids, b_ids[0])
+        assert lat == b_lats[0] and isinstance(lat, float)
+
+    def test_empty_index_answers_nothing(self):
+        idx = SPFreshIndex(small_config(dim=8))
+        ids, lats = idx.search_batch(np.zeros((2, 8)), 5)
+        assert [len(i) for i in ids] == [0, 0] and len(lats) == 2
+
+
+class TestBatchedInsert:
+    def test_matches_per_vector_inserts(self):
+        vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=43)
+        a = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8))
+        b = copy.deepcopy(a)
+        new = clustered_vectors(n=200, dim=8, n_clusters=4, seed=44)
+        lat_a = a.insert_batch(np.arange(500, 700), new)
+        lat_b = np.asarray([b.insert(int(v), x) for v, x in zip(np.arange(500, 700), new)])
+        np.testing.assert_array_equal(lat_a, lat_b)
+        assert a.jobs and list(a.jobs) == list(b.jobs)
+        assert a.stats == b.stats and a.ssd.counters == b.ssd.counters
+        for pid in a.controller.posting_ids:
+            np.testing.assert_array_equal(
+                a.controller.get(pid)[0].vids, b.controller.get(pid)[0].vids
+            )
+
+    def test_empty_batch(self):
+        vecs = clustered_vectors(n=100, dim=8, n_clusters=4, seed=45)
+        idx = SPFreshIndex.build(vecs, np.arange(100), small_config(dim=8))
+        assert len(idx.insert_batch(np.empty(0, np.int64), np.empty((0, 8)))) == 0
 
 
 class TestSplit:
