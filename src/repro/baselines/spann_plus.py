@@ -5,7 +5,9 @@
 without the Local Rebuilder module." Background garbage collection still
 prunes stale replicas. Implemented as :class:`SPFreshIndex` with the
 rebalancer disabled so every other code path (storage engine, closure
-assignment, searcher) is shared, exactly as in the paper's setup.
+assignment, searcher) is shared, exactly as in the paper's setup: the GC
+is the split job with its split step off, queued each time a posting's
+length reaches a multiple of the split limit.
 """
 from __future__ import annotations
 

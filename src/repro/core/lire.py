@@ -17,7 +17,8 @@ decisions it owns:
 - **Reassign scope** (:func:`reassign_scope`): the ``reassign_range``
   postings nearest the old centroid, besides the split ones.
 - **Condition screening** (:func:`reassign_candidate_mask`): the two
-  necessary conditions below.
+  necessary conditions below, in one call over rows of split and of
+  neighbor postings, told apart by a per-row flag.
 - **Candidate dedupe, final NPA check and CAS** (:func:`plan_moves`).
 - **Merge target** (:func:`merge_target`): the nearest other posting.
 
@@ -62,10 +63,7 @@ def condition_one(vecs: np.ndarray, old_centroid: np.ndarray, new_centroids: np.
 
     True iff ``D(v, A_o) <= D(v, A_i)`` for every new centroid ``A_i``.
     """
-    vecs = np.atleast_2d(vecs)
-    d_old = pairwise_sq_l2(vecs, np.atleast_2d(old_centroid))[:, 0]
-    d_new = pairwise_sq_l2(vecs, np.atleast_2d(new_centroids))
-    return (d_old[:, None] <= d_new).all(axis=1)
+    return reassign_candidate_mask(vecs, old_centroid, new_centroids, True)
 
 
 def condition_two(vecs: np.ndarray, old_centroid: np.ndarray, new_centroids: np.ndarray) -> np.ndarray:
@@ -73,23 +71,22 @@ def condition_two(vecs: np.ndarray, old_centroid: np.ndarray, new_centroids: np.
 
     True iff ``D(v, A_i) <= D(v, A_o)`` for some new centroid ``A_i``.
     """
-    vecs = np.atleast_2d(vecs)
-    d_old = pairwise_sq_l2(vecs, np.atleast_2d(old_centroid))[:, 0]
-    d_new = pairwise_sq_l2(vecs, np.atleast_2d(new_centroids))
-    return (d_new <= d_old[:, None]).any(axis=1)
+    return reassign_candidate_mask(vecs, old_centroid, new_centroids, False)
 
 
 def reassign_candidate_mask(
     vecs: np.ndarray,
     old_centroid: np.ndarray,
     new_centroids: np.ndarray,
-    *,
-    in_split_posting: bool,
+    in_split: np.ndarray | bool,
 ) -> np.ndarray:
-    """Condition 1 for the rows of a split posting, condition 2 for the rest."""
-    if in_split_posting:
-        return condition_one(vecs, old_centroid, new_centroids)
-    return condition_two(vecs, old_centroid, new_centroids)
+    """Condition 1 for the rows with ``in_split`` set (they were in a split
+    posting), condition 2 for the rest. ``in_split`` is one bool per row,
+    or one bool for every row."""
+    vecs = np.atleast_2d(vecs)
+    d_old = pairwise_sq_l2(vecs, np.atleast_2d(old_centroid))
+    d_new = pairwise_sq_l2(vecs, np.atleast_2d(new_centroids))
+    return np.where(in_split, (d_old <= d_new).all(axis=1), (d_new <= d_old).any(axis=1))
 
 
 def closure_assign(

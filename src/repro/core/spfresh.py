@@ -5,9 +5,12 @@ simulated Block Controller. The *Updater* appends a new vector to its
 nearest posting(s) and tombstones deletes in the version map; when a
 posting exceeds the split limit it enqueues a split job. The *Local
 Rebuilder* drains a job queue of split / merge / reassign jobs —
-off the foreground critical path, as the paper's feed-forward pipeline —
-applying the two LIRE necessary conditions to find the minimal reassign
-set and using version-CAS to execute reassignments. The *Searcher*
+off the foreground critical path, as the paper's feed-forward pipeline.
+A split job garbage-collects the posting and splits it only if it is
+still over the limit. A reassign job fetches the split postings and
+their neighbours, filters stale replicas once over all of them, screens
+every live row with one call of the two LIRE necessary conditions, and
+uses version-CAS to execute the reassignments it plans. The *Searcher*
 probes the nprobe nearest postings via ParallelGET, filters stale
 replicas, and triggers merges for undersized postings.
 
@@ -17,7 +20,8 @@ target) is made by the planner in :mod:`repro.core.lire`; this engine
 keeps the storage and the job queue.
 
 Feature flags reproduce the paper's ablations: ``rebalance=False`` is
-the SPANN+ baseline (append-only + GC), ``reassign=False`` the
+the SPANN+ baseline (append-only; the split job runs with its split step
+off, so it only garbage-collects), ``reassign=False`` the
 "in-place + split" variant of Fig. 10.
 """
 from __future__ import annotations
@@ -60,7 +64,9 @@ class SPFreshConfig:
 
 @dataclass
 class EngineStats:
-    """Counters behind the paper's §5.2.2 LIRE statistics."""
+    """Counters behind the paper's §5.2.2 LIRE statistics. Both engines
+    count in it: the core engine in ``SPFreshIndex.stats``, the Spark
+    engine in what ``spark_index.rebalancer.rebalance`` returns."""
 
     inserts: int = 0
     deletes: int = 0
@@ -89,7 +95,7 @@ class SPFreshIndex:
         self.version_map = VersionMap()
         self.latency = LatencyModel()
         self.jobs: deque[tuple] = deque()
-        self._pending: set[tuple[str, int]] = set()  # dedupe split/gc/merge jobs
+        self._pending: set[tuple[str, int]] = set()  # dedupe split/merge jobs
         self.stats = EngineStats()
         self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
 
@@ -137,10 +143,11 @@ class SPFreshIndex:
         vids = np.concatenate([p.vids for p in postings])
         stale = self.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
         live = np.flatnonzero(~stale)
-        live = live[np.lexsort((vids[live], seg[live]))]
-        first = np.ones(len(live), dtype=bool)
-        first[1:] = (seg[live[1:]] != seg[live[:-1]]) | (vids[live[1:]] != vids[live[:-1]])
-        live = np.sort(live[first])
+        if len(live):
+            # one key per (posting, vid); np.unique returns each key's first position
+            key = seg[live] * (int(vids[live].max()) + 1) + vids[live]
+            _, first = np.unique(key, return_index=True)
+            live = np.sort(live[first])
         return vids, live, np.bincount(seg[live], minlength=len(postings))
 
     def _maybe_enqueue_split(self, pid: int, depth: int) -> None:
@@ -149,16 +156,13 @@ class SPFreshIndex:
         length = self.controller.length(pid)
         if length <= self.config.split_limit:
             return
-        if self.config.rebalance:
-            if ("split", pid) not in self._pending:
-                self._pending.add(("split", pid))
-                self.jobs.append(("split", pid, depth))
-        elif length % self.config.split_limit == 0:
-            # SPANN+ has no split: only periodic background GC rewrites that
-            # prune stale replicas; postings may grow without bound.
-            if ("gc", pid) not in self._pending:
-                self._pending.add(("gc", pid))
-                self.jobs.append(("gc", pid))
+        # SPANN+ runs the split job, GC only, each time a posting's length
+        # reaches a multiple of the limit; its postings grow without bound.
+        if not self.config.rebalance and length % self.config.split_limit:
+            return
+        if ("split", pid) not in self._pending:
+            self._pending.add(("split", pid))
+            self.jobs.append(("split", pid, depth))
 
     # ------------------------------------------------------------------
     # Updater (foreground, paper §4.1)
@@ -290,12 +294,10 @@ class SPFreshIndex:
         while self.jobs and (max_jobs is None or done < max_jobs):
             job = self.jobs.popleft()
             kind = job[0]
-            if kind in ("split", "gc", "merge"):
+            if kind in ("split", "merge"):
                 self._pending.discard((kind, job[1]))
             if kind == "split":
                 self._split(job[1], job[2])
-            elif kind == "gc":
-                self._gc(job[1])
             elif kind == "merge":
                 self._merge(job[1])
             elif kind == "reassign":
@@ -303,24 +305,15 @@ class SPFreshIndex:
             done += 1
         return done
 
-    def _gc(self, pid: int) -> None:
-        """SPANN+ path: rewrite a posting dropping stale tuples, no split."""
-        if not self.controller.exists(pid):
-            return
-        posting, io = self.controller.get(pid)
-        live = self._live(posting)
-        io += self.controller.put(pid, live)
-        self.stats.gc_rewrites += 1
-        self.stats.background_io_us += io
-
     def _split(self, pid: int, depth: int) -> None:
+        """Garbage-collect the posting, then split it only if it is still
+        over the limit (§4.2.1); SPANN+ never splits."""
         if not self.controller.exists(pid):
             return
         posting, io = self.controller.get(pid)
         live = self._live(posting)
         cfg = self.config
-        if len(live) <= cfg.split_limit:
-            # garbage collection alone brought it under the limit (§4.2.1)
+        if len(live) <= cfg.split_limit or not cfg.rebalance:
             io += self.controller.put(pid, live)
             self.stats.gc_rewrites += 1
             self.stats.background_io_us += io
@@ -380,25 +373,25 @@ class SPFreshIndex:
         split_alive = [p for p in new_pids if self.controller.exists(p)]
         scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
         nbr = [p for p in scope if self.controller.exists(p)]
-        candidates: list[Posting] = []
-        cand_from: list[np.ndarray] = []
+        fetched: dict[int, Posting] = {}
         for pids in (split_alive, nbr):
             postings, io = self.controller.get_many(pids)
             self.stats.background_io_us += io
-            for pid, posting in postings.items():
-                live = self._live(posting)
-                if not len(live):
-                    continue
-                self.stats.reassign_evaluated += len(live)
-                mask = lire.reassign_candidate_mask(
-                    live.vecs, old_centroid, new_centroids, in_split_posting=pid in new_pids
-                )
-                if mask.any():
-                    candidates.append(live.take(np.flatnonzero(mask)))
-                    cand_from.append(np.full(int(mask.sum()), pid, dtype=np.int64))
-        if not candidates:
+            fetched.update(postings)
+        if not fetched:
             return
-        evaluated = self._move(Posting.concat(candidates), np.concatenate(cand_from), depth)
+        _, live, n_live = self._live_rows(list(fetched.values()))
+        self.stats.reassign_evaluated += len(live)
+        if not len(live):
+            return
+        rows = Posting.concat(list(fetched.values())).take(live)
+        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
+        mask = lire.reassign_candidate_mask(
+            rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
+        )
+        if not mask.any():
+            return
+        evaluated = self._move(rows.take(mask), cur_pids[mask], depth)
         self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
 
     def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:

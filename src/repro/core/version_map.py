@@ -33,7 +33,14 @@ class VersionMap:
 
     # -- lifecycle --------------------------------------------------------
     def add(self, vid: int) -> int:
-        """Register a fresh vector at version 0; returns the version."""
+        """Register a fresh vector at version 0; returns the version.
+
+        A vid is registered once: re-registering it, deleted or not, would
+        reset its version to 0 and make its old replicas, which hold the old
+        vector at that version, live again. Raises ``ValueError`` instead.
+        """
+        if self.contains(vid):
+            raise ValueError(f"vid {vid} is already registered")
         self._ensure(vid)
         self._v[vid] = 0
         self._present[vid] = True

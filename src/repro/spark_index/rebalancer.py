@@ -40,6 +40,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import lire
+from repro.core.spfresh import EngineStats
 from repro.spark_index.store import SparkPostingStore, rows_to_pdf
 
 _SPLIT_OUT_SCHEMA = T.StructType(
@@ -69,15 +70,6 @@ class SplitInfo:
     old_centroid: np.ndarray
     new_pids: list[int]
     new_centroids: np.ndarray
-
-
-@dataclass
-class RebalanceStats:
-    splits: int = 0
-    merges: int = 0
-    reassign_evaluated: int = 0
-    reassign_moved: int = 0
-    reassign_aborted_cas: int = 0
 
 
 def _split_job(store: SparkPostingStore, oversized_pids: list[int]) -> list[SplitInfo]:
@@ -128,7 +120,7 @@ def _split_job(store: SparkPostingStore, oversized_pids: list[int]) -> list[Spli
     return infos
 
 
-def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: RebalanceStats) -> None:
+def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: EngineStats) -> None:
     """Condition screening + closure recompute as one distributed pass."""
     cfg = store.config
     if not infos:
@@ -154,12 +146,10 @@ def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: Rebal
             if not len(pdf):
                 continue
             keep_rows = []
-            for (sid, is_split), grp in pdf.groupby(["split_id", "is_split"]):
+            for sid, grp in pdf.groupby("split_id"):
                 old_c, new_c = payload[int(sid)]
                 vecs = np.stack(grp["vec"].map(np.asarray))
-                mask = lire.reassign_candidate_mask(
-                    vecs, old_c, new_c, in_split_posting=bool(is_split)
-                )
+                mask = lire.reassign_candidate_mask(vecs, old_c, new_c, grp["is_split"].to_numpy())
                 if mask.any():
                     keep_rows.append(grp.iloc[np.flatnonzero(mask)])
             if keep_rows:
@@ -181,7 +171,7 @@ def _reassign_job(store: SparkPostingStore, infos: list[SplitInfo], stats: Rebal
         _move(store, cand, stats)
 
 
-def _move(store: SparkPostingStore, cand: pd.DataFrame, stats: RebalanceStats) -> pd.DataFrame:
+def _move(store: SparkPostingStore, cand: pd.DataFrame, stats: EngineStats) -> pd.DataFrame:
     """Plan the candidates' moves and append the moved rows at their new
     versions; returns the appended rows."""
     plan = lire.plan_moves(
@@ -200,7 +190,7 @@ def _move(store: SparkPostingStore, cand: pd.DataFrame, stats: RebalanceStats) -
     return pdf
 
 
-def _merge_job(store: SparkPostingStore, undersized_pids: list[int], stats: RebalanceStats) -> None:
+def _merge_job(store: SparkPostingStore, undersized_pids: list[int], stats: EngineStats) -> None:
     """Fold undersized postings into their nearest posting (§3.2).
 
     Works off one live-rows snapshot plus an overlay of rows appended by
@@ -248,14 +238,17 @@ def compact(store: SparkPostingStore) -> None:
     store.write_postings(store.live_df())
 
 
-def rebalance(store: SparkPostingStore, *, max_rounds: int = 20) -> RebalanceStats:
+def rebalance(store: SparkPostingStore, *, max_rounds: int = 20) -> EngineStats:
     """Drain all split/merge/reassign work until the index is balanced.
+
+    Returns the core engine's counters; this call fills ``splits``,
+    ``merges`` and the ``reassign_*`` counts the core engine fills too.
 
     With ``config.rebalance`` off (SPANN+) there is no such work: the call
     only compacts away stale rows, the GC that SPANN+ keeps.
     """
     cfg = store.config
-    stats = RebalanceStats()
+    stats = EngineStats()
     if not cfg.rebalance:
         compact(store)
         store.save_meta()

@@ -17,7 +17,6 @@ import os
 import pickle
 import re
 import shutil
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -51,13 +50,6 @@ def rows_to_pdf(pids, vids, versions, vecs) -> pd.DataFrame:
     )
 
 
-@dataclass
-class StoreStats:
-    """Dataset-level job accounting (the Spark analog of IOPS counters)."""
-
-    appends: int = 0
-
-
 class SparkPostingStore:
     """Posting dataset + driver metadata for the Spark SPFresh engine."""
 
@@ -67,7 +59,6 @@ class SparkPostingStore:
         self.config = config
         self.centroid_index = CentroidIndex(config.dim)
         self.version_map = VersionMap()
-        self.stats = StoreStats()
         self._gen = 0
         os.makedirs(root, exist_ok=True)
 
@@ -87,7 +78,6 @@ class SparkPostingStore:
             return
         df = self.spark.createDataFrame(pdf, schema=POSTING_SCHEMA)
         df.write.mode("append").parquet(self.postings_path)
-        self.stats.appends += 1
 
     def postings_df(self) -> DataFrame:
         return self.spark.read.schema(POSTING_SCHEMA).parquet(self.postings_path)

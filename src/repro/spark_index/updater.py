@@ -17,9 +17,17 @@ from repro.spark_index.store import SparkPostingStore, rows_to_pdf
 
 
 def insert_batch(store: SparkPostingStore, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Insert a batch of vectors; returns the primary pid per vector."""
+    """Insert a batch of vectors; returns the primary pid per vector.
+
+    Raises ``ValueError``, registering none of the batch, when a vid is
+    already registered or occurs twice in the batch (see ``VersionMap.add``).
+    """
     vids = np.asarray(vids, dtype=np.int64)
     vecs = np.asarray(vecs, dtype=np.float64)
+    uniq, n = np.unique(vids, return_counts=True)
+    bad = [int(v) for v, c in zip(uniq, n) if c > 1 or store.version_map.contains(int(v))]
+    if bad:
+        raise ValueError(f"vids registered already or repeated in the batch: {bad[:10]}")
     rows, pids = lire.closure_pids(store.centroid_index, vecs, store.config)
     for v in vids:
         store.version_map.add(int(v))

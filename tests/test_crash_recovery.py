@@ -122,14 +122,23 @@ class TestSparkEngineRecovery:
     def test_replayed_appends_are_idempotent_in_live_view(self, spark, tmp_path):
         """Replaying an insert that already reached Parquet before the
         crash double-appends rows; live_df's (pid, vid) dedupe absorbs it."""
+        from repro.spark_index.store import SparkPostingStore
+
         vecs = clustered_vectors(n=200, dim=8, n_clusters=4, seed=2).astype(np.float64)
-        st = build_index(spark, vecs, np.arange(200), cfg(), str(tmp_path / "idx2"))
+        root = str(tmp_path / "idx2")
+        st = build_index(spark, vecs, np.arange(200), cfg(), root)
         new = clustered_vectors(n=5, dim=8, n_clusters=4, seed=9).astype(np.float64)
         updater.insert_batch(st, np.arange(900, 905), new)
-        updater.insert_batch(st, np.arange(900, 905), new)  # replay double-apply
-        live = st.live_df().toPandas()
+        # crash before the metadata commit: the reloaded version map lacks
+        # 900..904, and replaying the insert appends their rows again
+        st2 = SparkPostingStore.load(spark, root)
+        updater.insert_batch(st2, np.arange(900, 905), new)
+        stored = st2.postings_df().where("vid >= 900").groupBy("pid", "vid").count().toPandas()
+        assert (stored["count"] == 2).all()
+        live = st2.live_df().toPandas()
         counts = live.groupby(["pid", "vid"]).size()
         assert (counts == 1).all()
+        assert set(live["vid"]) == set(range(200)) | set(range(900, 905))
 
     def test_rebalance_after_recovery_converges(self, spark, tmp_path):
         vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=4).astype(np.float64)

@@ -91,9 +91,34 @@ class TestConditionSemantics:
 
     def test_dispatch(self):
         a_old, new, _, yellow, green = figure4_scenario()
-        m1 = reassign_candidate_mask(yellow[None, :], a_old, new, in_split_posting=True)
-        m2 = reassign_candidate_mask(green[None, :], a_old, new, in_split_posting=False)
-        assert m1[0] and m2[0]
+        both = np.stack([yellow, green])
+        np.testing.assert_array_equal(
+            reassign_candidate_mask(both, a_old, new, np.array([True, False])), [True, True]
+        )
+        np.testing.assert_array_equal(
+            reassign_candidate_mask(both, a_old, new, np.array([False, True])), [False, False]
+        )
+
+    def test_mixed_flags_equal_the_per_kind_calls(self):
+        """One screening call over rows of split and of neighbor postings
+        equals condition 1 on the first and condition 2 on the second."""
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(200, 8))
+        a_old = rng.normal(size=8) * 0.3
+        new = a_old + rng.normal(size=(2, 8)) * 0.3
+        in_split = rng.random(200) < 0.4
+        got = reassign_candidate_mask(vecs, a_old, new, in_split)
+        np.testing.assert_array_equal(got[in_split], condition_one(vecs[in_split], a_old, new))
+        np.testing.assert_array_equal(got[~in_split], condition_two(vecs[~in_split], a_old, new))
+        # the two kinds disagree on these rows, so a call that ignores the flags fails
+        assert (condition_one(vecs, a_old, new) != condition_two(vecs, a_old, new)).sum() > 50
+        # and both are the paper's formulas, computed here row by row
+        d_old = ((vecs - a_old) ** 2).sum(axis=1)
+        d_new = ((vecs[:, None, :] - new[None]) ** 2).sum(axis=2)
+        want = np.where(
+            in_split, (d_old[:, None] <= d_new).all(axis=1), (d_new <= d_old[:, None]).any(axis=1)
+        )
+        np.testing.assert_array_equal(got, want)
 
     def test_boundary_equality_is_included(self):
         # D(v, A_o) == D(v, A_i): conditions use <=, so v must be flagged

@@ -5,6 +5,7 @@ semantics, full clustered search) is verified by running the equivalent
 SQL on DuckDB over the same input tables via ``repro.oracle``.
 """
 import os
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -40,6 +41,12 @@ def store(spark, base_data, tmp_path_factory):
     vecs, vids = base_data
     root = str(tmp_path_factory.mktemp("spfresh_idx"))
     return build_index(spark, vecs, vids, small_cfg(), root)
+
+
+def parquet_files(store) -> dict[str, bytes]:
+    """The current dataset generation's Parquet files, by relative path."""
+    root = Path(store.postings_path)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.parquet")}
 
 
 def oracle_tables(store, queries=None):
@@ -184,18 +191,37 @@ class TestUpdater:
     def test_insert_appends_without_rewrite(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u2"))
-        gen = st._gen
+        gen, before = st._gen, parquet_files(st)
         updater.insert_batch(st, np.array([3000]), clustered_vectors(n=1, dim=8, seed=15).astype(np.float64))
         assert st._gen == gen  # append path never rewrites the dataset
-        assert st.stats.appends == 1
+        after = parquet_files(st)
+        assert {f: after.get(f) for f in before} == before  # every old file kept, byte for byte
+        assert len(after) > len(before)
 
     def test_delete_is_metadata_only(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u3"))
-        appends = st.stats.appends
-        gen = st._gen
+        gen, before = st._gen, parquet_files(st)
         updater.delete_batch(st, np.arange(0, 20))
-        assert st.stats.appends == appends and st._gen == gen
+        assert st._gen == gen and parquet_files(st) == before
+
+    def test_reinserted_vid_is_refused(self, spark, base_data, tmp_path):
+        """A vid is registered once. Re-registering deleted vid 7 reset its
+        version to 0, which made its old replicas, holding the old vector,
+        live again; the whole batch is now refused before any of it lands."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u4"))
+        updater.delete_batch(st, np.array([7]))
+        gen, before = st._gen, parquet_files(st)
+        far = np.vstack([vecs[8], vecs[7] + 100.0])
+        with pytest.raises(ValueError):
+            updater.insert_batch(st, np.array([3000, 7]), far)
+        with pytest.raises(ValueError):
+            updater.insert_batch(st, np.array([3001, 3001]), far)
+        assert not st.version_map.contains(3000) and not st.version_map.contains(3001)
+        assert st._gen == gen and parquet_files(st) == before
+        res = sp_search.search_results_matrix(st, vecs[7:8], k=1)
+        assert 7 not in res[0]
 
 
 class TestRebalance:

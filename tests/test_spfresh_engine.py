@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
+from repro.blockstore.controller import Posting
 from repro.core import lire
 from repro.core.distances import pairwise_sq_l2, topk_indices
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
@@ -85,6 +86,20 @@ class TestSearch:
         new = clustered_vectors(n=1, dim=8, n_clusters=4, seed=4)[0]
         idx.insert(999, new)
         assert 999 in idx.search(new, 3)[0]
+
+    def test_reinserted_vid_is_refused(self):
+        """A vid is registered once. Re-inserting deleted vid 7 reset its
+        version to 0, which made its old replicas live again: a search for
+        its old vector found it."""
+        vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=46)
+        idx = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8))
+        idx.delete(7)
+        with pytest.raises(ValueError):
+            idx.insert(7, vecs[7] + 100.0)
+        with pytest.raises(ValueError):
+            idx.insert_batch(np.array([8]), vecs[8:9] + 100.0)
+        assert idx.search(vecs[7], 1)[0].tolist() != [7]
+        assert idx.search(vecs[8], 1)[0].tolist() == [8]
 
     def test_no_duplicate_vids_in_results(self, built):
         idx, vecs = built
@@ -424,6 +439,168 @@ class TestSpannPlus:
         idx.process_jobs()
         assert idx.stats.gc_rewrites > 0
         assert sum(idx.posting_lengths().values()) < before
+
+
+def per_posting_live(idx: SPFreshIndex, posting: Posting) -> Posting:
+    """A posting's tuples that are not stale, first replica of each vid."""
+    live = posting.take(~idx.version_map.is_stale(posting.vids, posting.versions))
+    _, first = np.unique(live.vids, return_index=True)
+    return live.take(np.sort(first))
+
+
+class PerPostingRebuilder(SPFreshIndex):
+    """The Local Rebuilder before a reassign job screened once, kept as the
+    reference: a reassign job filters and screens each fetched posting on
+    its own, and SPANN+ queues a GC job kind of its own."""
+
+    def _maybe_enqueue_split(self, pid: int, depth: int) -> None:
+        if not self.controller.exists(pid):
+            return
+        length = self.controller.length(pid)
+        if length <= self.config.split_limit:
+            return
+        if self.config.rebalance:
+            if ("split", pid) not in self._pending:
+                self._pending.add(("split", pid))
+                self.jobs.append(("split", pid, depth))
+        elif length % self.config.split_limit == 0:
+            if ("gc", pid) not in self._pending:
+                self._pending.add(("gc", pid))
+                self.jobs.append(("gc", pid))
+
+    def process_jobs(self, max_jobs: int | None = None) -> int:
+        done = 0
+        while self.jobs and (max_jobs is None or done < max_jobs):
+            job = self.jobs.popleft()
+            kind = job[0]
+            if kind in ("split", "gc", "merge"):
+                self._pending.discard((kind, job[1]))
+            if kind == "split":
+                self._split(job[1], job[2])
+            elif kind == "gc":
+                self._gc(job[1])
+            elif kind == "merge":
+                self._merge(job[1])
+            elif kind == "reassign":
+                self._reassign(*job[1:])
+            done += 1
+        return done
+
+    def _gc(self, pid: int) -> None:
+        if not self.controller.exists(pid):
+            return
+        posting, io = self.controller.get(pid)
+        live = per_posting_live(self, posting)
+        io += self.controller.put(pid, live)
+        self.stats.gc_rewrites += 1
+        self.stats.background_io_us += io
+
+    def _reassign(self, old_centroid, new_pids, new_centroids, depth) -> None:
+        cfg = self.config
+        self.stats.reassign_jobs += 1
+        split_alive = [p for p in new_pids if self.controller.exists(p)]
+        scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
+        nbr = [p for p in scope if self.controller.exists(p)]
+        candidates, cand_from = [], []
+        for pids in (split_alive, nbr):
+            postings, io = self.controller.get_many(pids)
+            self.stats.background_io_us += io
+            for pid, posting in postings.items():
+                live = per_posting_live(self, posting)
+                if not len(live):
+                    continue
+                self.stats.reassign_evaluated += len(live)
+                condition = lire.condition_one if pid in new_pids else lire.condition_two
+                mask = condition(live.vecs, old_centroid, new_centroids)
+                if mask.any():
+                    candidates.append(live.take(np.flatnonzero(mask)))
+                    cand_from.append(np.full(int(mask.sum()), pid, dtype=np.int64))
+        if not candidates:
+            return
+        evaluated = self._move(Posting.concat(candidates), np.concatenate(cand_from), depth)
+        self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
+
+
+def job_key(job: tuple) -> tuple:
+    """A queued job comparable with ``==``; the reference's GC job is the
+    split job SPANN+ queues (always at depth 0: only inserts queue it)."""
+    if job[0] == "gc":
+        return ("split", job[1], 0)
+    return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in job)
+
+
+def assert_same_state(a: SPFreshIndex, ref: PerPostingRebuilder) -> None:
+    assert a.ssd.counters == ref.ssd.counters  # before the reads below
+    assert a.stats == ref.stats
+    assert [job_key(j) for j in a.jobs] == [job_key(j) for j in ref.jobs]
+    assert a._pending == {("split" if k == "gc" else k, pid) for k, pid in ref._pending}
+    for x, y in zip(a.version_map.entries(), ref.version_map.entries()):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.centroid_index.alive_ids, ref.centroid_index.alive_ids)
+    assert list(a.controller.posting_ids) == list(ref.controller.posting_ids)
+    for pid in a.controller.posting_ids:
+        p, q = a.controller.get(pid)[0], ref.controller.get(pid)[0]
+        for field in ("vids", "versions", "vecs"):
+            np.testing.assert_array_equal(getattr(p, field), getattr(q, field))
+
+
+def drain_in_step(idx: SPFreshIndex, ref: PerPostingRebuilder) -> list[str]:
+    """Run both queues job by job, comparing after each; returns the kinds run."""
+    kinds = []
+    while idx.jobs:
+        kinds.append(idx.jobs[0][0])
+        assert idx.process_jobs(max_jobs=1) == ref.process_jobs(max_jobs=1) == 1
+        assert_same_state(idx, ref)
+    assert not ref.jobs
+    return kinds
+
+
+class TestRebuilderMatchesPerPostingReference:
+    """One live filter and one screening call per reassign job, and SPANN+'s
+    GC as the split job, leave every posting, queued job and counter as the
+    per-posting Local Rebuilder left them."""
+
+    def test_reassign_jobs(self):
+        cfg = small_config(dim=8, reassign_range=64)
+        idx = SPFreshIndex.build(
+            clustered_vectors(n=1000, dim=8, n_clusters=8, seed=50), np.arange(1000), cfg
+        )
+        ref = copy.deepcopy(idx)
+        ref.__class__ = PerPostingRebuilder
+        qs = clustered_vectors(n=40, dim=8, n_clusters=8, seed=51)
+        rng = np.random.default_rng(52)
+        kinds = []
+        for epoch in range(3):
+            dels = rng.choice(sorted(idx._vecs), 150, replace=False)
+            # shuffled, so a posting's tuple order is not its vid order
+            vids = 1000 + 300 * epoch + rng.permutation(300)
+            new = clustered_vectors(n=300, dim=8, n_clusters=8, seed=53 + epoch)
+            for run in (idx, ref):
+                for v in dels:
+                    run.delete(int(v))
+                run.insert_batch(vids, new)
+                run.search_batch(qs, 10)
+            assert_same_state(idx, ref)
+            kinds += drain_in_step(idx, ref)
+        assert kinds.count("reassign") > 10
+        assert idx.stats.max_cascade_depth >= 1  # a split caused by a split's moves
+        assert idx.stats.reassign_moved > 0 and idx.stats.gc_rewrites > 0
+
+    def test_spann_plus_gc_is_the_split_job(self):
+        vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=54)
+        idx = build_spann_plus(vecs, np.arange(500), small_config(dim=8))
+        ref = copy.deepcopy(idx)
+        ref.__class__ = PerPostingRebuilder
+        new = clustered_vectors(n=900, dim=8, n_clusters=4, seed=55)
+        vids = 500 + np.random.default_rng(56).permutation(900)  # tuple order is not vid order
+        for lo in range(0, 900, 150):
+            for run in (idx, ref):
+                for v in range(lo // 3, lo // 3 + 50):
+                    run.delete(v)
+                run.insert_batch(vids[lo : lo + 150], new[lo : lo + 150])
+            assert_same_state(idx, ref)
+            assert set(drain_in_step(idx, ref)) <= {"split"}
+        assert idx.stats.gc_rewrites > 0 and idx.stats.splits == 0
 
 
 class TestResourceModel:

@@ -16,6 +16,17 @@ class TestLifecycle:
         vm.add(5)
         assert vm.contains(5) and not vm.contains(6)
 
+    def test_add_refuses_a_held_vid(self):
+        vm = VersionMap()
+        vm.add(1)
+        vm.bump_cas(1, 0)
+        vm.add(2)
+        vm.delete(2)
+        for vid in (1, 2):
+            with pytest.raises(ValueError):
+                vm.add(vid)
+        assert vm.version(1) == 1 and vm.is_deleted(2)
+
     def test_delete_sets_tombstone(self):
         vm = VersionMap()
         vm.add(1)
