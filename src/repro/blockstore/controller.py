@@ -161,31 +161,43 @@ class BlockController:
     def get(self, pid: int) -> tuple[Posting, float]:
         """GET: read all blocks of a posting (one batched I/O). The result
         may share the stored blocks' read-only arrays."""
-        entry = self._mapping[pid]
-        if not entry.block_ids:
-            return Posting.empty(self.dim), 0.0
-        payloads, cost = self.ssd.read(entry.block_ids)
-        return Posting.concat(payloads), cost
+        postings, (cost,) = self.get_batch([[pid]])
+        return postings[pid], cost
 
     def get_many(self, pids: list[int]) -> tuple[dict[int, Posting], float]:
         """ParallelGET: fetch several postings in one batched I/O."""
-        order: list[tuple[int, int]] = []  # (pid, its block count)
-        all_blocks: list[int] = []
-        for pid in pids:
-            entry = self._mapping[pid]
-            order.append((pid, len(entry.block_ids)))
-            all_blocks.extend(entry.block_ids)
-        if not all_blocks:
-            return {pid: Posting.empty(self.dim) for pid in pids}, 0.0
-        payloads, cost = self.ssd.read(all_blocks)
+        postings, (cost,) = self.get_batch([pids])
+        return postings, cost
+
+    def get_batch(self, requests: list[list[int]]) -> tuple[dict[int, Posting], list[float]]:
+        """The ParallelGETs of a batch of requests, each a list of pids.
+
+        Each request is charged as its own batched read of its postings'
+        blocks, or nothing when they hold none. Each distinct posting is
+        assembled once. Returns the postings in first-seen order and each
+        request's simulated µs.
+        """
         out: dict[int, Posting] = {}
-        at = 0
-        for pid, nb in order:
-            out[pid] = (
-                Posting.concat(payloads[at : at + nb]) if nb else Posting.empty(self.dim)
-            )
-            at += nb
-        return out, cost
+        costs: list[float] = []
+        for pids in requests:
+            entries = [self._mapping[pid] for pid in pids]
+            blocks = [b for e in entries for b in e.block_ids]
+            payloads, cost = self.ssd.read(blocks) if blocks else ([], 0.0)
+            costs.append(cost)
+            at = 0
+            for pid, e in zip(pids, entries):
+                nb = len(e.block_ids)
+                if pid not in out:
+                    out[pid] = self._assemble(payloads[at : at + nb])
+                at += nb
+        return out, costs
+
+    def _assemble(self, payloads: list[Posting]) -> Posting:
+        """A posting from its block payloads; a one-block posting is its
+        stored read-only payload, not a copy."""
+        if len(payloads) == 1:
+            return payloads[0]
+        return Posting.concat(payloads) if payloads else Posting.empty(self.dim)
 
     def append(self, pid: int, tail: Posting) -> float:
         """APPEND: RMW of the last block only, CoW, atomic mapping update.

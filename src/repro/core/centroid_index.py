@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distances import pairwise_sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, topk_indices, topk_per_row
 
 
 class CentroidIndex:
@@ -71,14 +71,12 @@ class CentroidIndex:
         return alive[topk_indices(d, k)]
 
     def search_batch(self, qs: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) alive posting ids per query row."""
+        """(m, k) alive posting ids per query row, nearest first; ties go
+        to the lower posting id, as in :meth:`search`."""
         alive = self.alive_ids
         d = pairwise_sq_l2(qs, self._vecs[alive])
-        k = min(k, len(alive))
-        out = np.empty((len(qs), k), dtype=np.int64)
-        for i in range(len(qs)):
-            out[i] = alive[topk_indices(d[i], k)]
-        return out
+        _, cols = topk_per_row(d, k)
+        return alive[cols].reshape(len(d), min(k, len(alive)))
 
     def memory_bytes(self) -> int:
         """Modelled DRAM: one float32 vector per ever-created centroid."""

@@ -10,27 +10,55 @@ from __future__ import annotations
 import numpy as np
 
 
+# Elements of one block of _sq_norms' scratch (256 KiB of float64).
+_NORM_BLOCK = 1 << 15
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's squared L2 norm, ``(a * a).sum(axis=1)`` formed a block of
+    rows at a time: the scratch stays bounded and every sum is the same."""
+    if a.size <= _NORM_BLOCK:
+        return (a * a).sum(axis=1)
+    step = max(1, _NORM_BLOCK // a.shape[1])
+    blocks = (a[i : i + step] for i in range(0, len(a), step))
+    return np.concatenate([(b * b).sum(axis=1) for b in blocks])
+
+
 def pairwise_sq_l2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, d) × (m, d) → (n, m) matrix of squared L2 distances."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    xx = (x * x).sum(axis=1)[:, None]
-    yy = (y * y).sum(axis=1)[None, :]
+    xx = _sq_norms(x)[:, None]
+    yy = _sq_norms(y)[None, :]
     d = xx + yy - 2.0 * (x @ y.T)
     np.maximum(d, 0.0, out=d)
     return d
 
 
-def topk_indices(dist_row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest entries, sorted ascending by value.
+def topk_per_row(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k`` smallest finite entries as flat ``(rows, cols)``.
 
-    Ties broken by index (stable), matching the ``ORDER BY dist, id``
-    convention used by the Spark/DuckDB implementations.
+    Row-major, and within a row in ``(value, column)`` order: the
+    ``ORDER BY dist, id`` convention of the Spark/DuckDB implementations.
+    Every entry up to a row's k-th value is ranked, so a tie at the k-th
+    value goes to the lower column. ``+inf`` marks an absent entry; a row
+    with fewer than ``k`` finite entries yields only those.
     """
-    k = min(k, len(dist_row))
-    if k == len(dist_row):
-        idx = np.arange(len(dist_row))
-    else:
-        idx = np.argpartition(dist_row, k)[:k]
-    order = np.lexsort((idx, dist_row[idx]))
-    return idx[order]
+    d = np.atleast_2d(d)
+    k = min(k, d.shape[1])
+    if k <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
+    rows, cols = np.divmod(np.flatnonzero(d <= kth), d.shape[1])  # in (row, column) order
+    vals = d[rows, cols]
+    order = np.lexsort((vals, rows))  # stable, so equal values keep column order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    keep = (rank < k) & (vals < np.inf)
+    return rows[keep], cols[keep]
+
+
+def topk_indices(dist_row: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest entries of one row, in ``(value,
+    index)`` order (:func:`topk_per_row` of a single row)."""
+    return topk_per_row(np.asarray(dist_row)[None, :], k)[1]

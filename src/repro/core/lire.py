@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_two_means, hierarchical_balanced_clustering
-from repro.core.distances import pairwise_sq_l2
+from repro.core.distances import pairwise_sq_l2, topk_per_row
 from repro.core.version_map import VersionMap
 
 if TYPE_CHECKING:
@@ -100,23 +100,17 @@ def closure_assign(
 
     Each vector is assigned to its nearest centroid plus every centroid
     within a ``(1 + eps)`` distance-ratio of the nearest (squared ratio
-    ``(1 + eps)^2``), capped at ``max_replicas`` postings; equal distances
-    go to the lower column. Returns flat ``(rows, cols)`` pairs, row-major
+    ``(1 + eps)^2``), capped at ``max_replicas`` postings taken in
+    ``(distance, column)`` order, so a tie at the cap goes to the lower
+    column. Returns flat ``(rows, cols)`` pairs, row-major
     and nearest column first within a row; every row has at least one.
     """
     d = pairwise_sq_l2(vecs, centroids)
-    n, m = d.shape
-    k = min(max_replicas, m)
-    if k < m:
-        cand = np.argpartition(d, k - 1, axis=1)[:, :k]
-    else:
-        cand = np.broadcast_to(np.arange(m), (n, m))
-    dist = np.take_along_axis(d, cand, axis=1)
-    order = np.lexsort((cand, dist), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    keep = dist <= (1.0 + eps) ** 2 * dist[:, :1] + 1e-12
-    return np.nonzero(keep)[0], cand[keep]
+    rows, cols = topk_per_row(d, max_replicas)
+    dist = d[rows, cols]
+    nearest = dist[np.searchsorted(rows, rows)]  # each row's first pair
+    keep = dist <= (1.0 + eps) ** 2 * nearest + 1e-12
+    return rows[keep], cols[keep]
 
 
 def closure_pids(

@@ -12,7 +12,11 @@ their neighbours, filters stale replicas once over all of them, screens
 every live row with one call of the two LIRE necessary conditions, and
 uses version-CAS to execute the reassignments it plans. The *Searcher*
 probes the nprobe nearest postings via ParallelGET, filters stale
-replicas, and triggers merges for undersized postings.
+replicas, and triggers merges for undersized postings. It runs a batch of
+queries a slice at a time: one navigation GEMM, one batched ParallelGET
+that assembles each posting once, one staleness filter over the union,
+then one distance GEMM over the distinct live vids and one exact top-k
+in ``(distance, vid)`` order.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
@@ -35,14 +39,20 @@ from repro.blockstore.controller import BlockController, Posting
 from repro.blockstore.ssd import SimulatedSSD
 from repro.core import lire
 from repro.core.centroid_index import CentroidIndex
-from repro.core.distances import pairwise_sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, topk_per_row
 from repro.core.latency import LatencyModel
 from repro.core.version_map import VersionMap
 
 # The traced run of perfbench/core_bench.py wraps these names on this
-# module. The planner makes these calls now, so the wrappers count none.
+# module. The planner and the batched top-k make these calls now, so the
+# wrappers count none.
 from repro.core.clustering import balanced_two_means  # noqa: F401
+from repro.core.distances import topk_indices  # noqa: F401
 from repro.core.lire import closure_assign, condition_one, condition_two  # noqa: F401
+
+
+# Queries searched together: bounds a slice's queries × vids distance matrix.
+SEARCH_SLICE = 8
 
 
 @dataclass
@@ -176,7 +186,10 @@ class SPFreshIndex:
     def insert_batch(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """Insert vectors in arrival order; returns per-vector simulated
         latency (µs). One closure assignment navigates the whole batch:
-        inserts append only, and only the Local Rebuilder moves centroids."""
+        inserts append only, and only the Local Rebuilder moves centroids.
+        Raises ``ValueError``, inserting none of the batch, when a vid is
+        registered already or occurs twice in it."""
+        self.version_map.check_new(vids)
         vecs = np.asarray(vecs, dtype=np.float32)
         if not len(vecs):
             return np.empty(0)
@@ -227,63 +240,66 @@ class SPFreshIndex:
     def search_batch(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Top-k vector ids per query row; returns (ids, simulated µs per query).
 
-        The batch navigates in one GEMM and filters stale replicas once over
-        the union of the postings it fetched. Each query is still charged as
-        if it ran alone: its own ParallelGET of its nprobe postings and a scan
-        of every tuple they hold.
+        The batch is searched in slices of ``SEARCH_SLICE`` queries, which
+        bounds the memory of a slice's distance matrix whatever the batch
+        size. Each query is charged as if it ran alone: its own ParallelGET
+        of its nprobe postings and a scan of every tuple they hold.
         """
-        cfg = self.config
         qs = np.asarray(qs, dtype=np.float64)
+        ids: list[np.ndarray] = []
+        lats = []
+        for lo in range(0, len(qs), SEARCH_SLICE):
+            slice_ids, slice_lats = self._search_slice(qs[lo : lo + SEARCH_SLICE], k)
+            ids += slice_ids
+            lats.append(slice_lats)
+        return ids, np.concatenate(lats) if lats else np.empty(0)
+
+    def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """One slice of :meth:`search_batch`: one navigation GEMM, one
+        ParallelGET per query with each posting assembled once, one
+        staleness filter over the union, then one distance GEMM over the
+        distinct live vids and one exact top-k in ``(distance, vid)`` order."""
+        cfg = self.config
         n_centroids = len(self.centroid_index)
-        probed = self.centroid_index.search_batch(qs, cfg.nprobe).tolist()
-        slot: dict[int, int] = {}  # pid → its place among the fetched postings
-        fetched: list[Posting] = []
-        lats = np.empty(len(qs))
-        for i, pids in enumerate(probed):
-            postings, io = self.controller.get_many(pids)
+        probed = self.centroid_index.search_batch(qs, cfg.nprobe)
+        postings, ios = self.controller.get_batch(probed.tolist())
+        for io in ios:
             self.stats.foreground_io_us += io
-            for pid, posting in postings.items():
-                if pid not in slot:
-                    slot[pid] = len(fetched)
-                    fetched.append(posting)
-            lats[i] = self.latency.search_us(
-                n_centroids_compared=n_centroids,
-                vectors_scanned=sum(map(len, postings.values())),
-                dim=cfg.dim,
-                io_us=io,
-            )
+        fetched = list(postings.values())
+        # slot[i, j]: the place of query i's j-th probe among the fetched postings
+        pids = np.fromiter(postings, dtype=np.int64, count=len(fetched))
+        by_pid = np.argsort(pids)
+        slot = by_pid[np.searchsorted(pids[by_pid], probed)]
+        on_disk = np.array([len(p.vids) for p in fetched], dtype=np.int64)
+        lats = self.latency.search_us(
+            n_centroids_compared=n_centroids,
+            vectors_scanned=on_disk[slot].sum(axis=1),
+            dim=cfg.dim,
+            io_us=np.asarray(ios),
+        )
         if not fetched:
             return [np.empty(0, dtype=np.int64) for _ in qs], lats
         all_vids, live, n_live = self._live_rows(fetched)
-        all_vecs = np.concatenate([p.vecs for p in fetched])
-        begin = np.cumsum(n_live) - n_live
         if cfg.rebalance and n_centroids > 1:
-            for pid, j in slot.items():  # query order, then navigation order
-                if 0 < n_live[j] < cfg.merge_limit and ("merge", pid) not in self._pending:
+            for pid, n in zip(postings, n_live.tolist()):  # query order, then navigation order
+                if 0 < n < cfg.merge_limit and ("merge", pid) not in self._pending:
                     self._pending.add(("merge", pid))
                     self.jobs.append(("merge", pid))
-        ids = []
-        for q, pids in zip(qs, probed):
-            js = np.asarray([slot[p] for p in pids], dtype=np.int64)
-            lens = n_live[js]
-            # the query's live rows, posting by posting in navigation order
-            at = np.repeat(begin[js] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-            rows = live[at]
-            ids.append(self._top_k(q, all_vids[rows], all_vecs[rows], k))
-        return ids, lats
-
-    @staticmethod
-    def _top_k(q: np.ndarray, vids: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
-        """The ``k`` nearest distinct vids among a query's scanned rows."""
-        if not len(vids):
-            return np.empty(0, dtype=np.int64)
-        d = pairwise_sq_l2(q[None, :], vecs)[0]
-        # dedupe replicas: keep the smallest distance per vid
-        order = np.lexsort((vids, d))
-        vids, d = vids[order], d[order]
-        _, first = np.unique(vids, return_index=True)
-        vids, d = vids[first], d[first]
-        return vids[topk_indices(d, k)]
+        # each query's live rows (places in ``live``), posting by posting in navigation order
+        lens = n_live[slot].ravel()
+        begin = np.cumsum(n_live) - n_live
+        at = np.repeat(begin[slot].ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        query = np.repeat(np.arange(slot.size) // slot.shape[1], lens)
+        # one column per distinct live vid: every replica of a vid stores the same vector
+        vids, col = np.unique(all_vids[live], return_inverse=True)
+        rep = np.empty(len(vids), dtype=np.int64)
+        rep[col] = live
+        d = pairwise_sq_l2(qs, np.concatenate([p.vecs for p in fetched])[rep].astype(np.float64))
+        cells = (query, col[at])
+        held = np.full(d.shape, np.inf)  # +inf: no posting of the query holds the vid
+        held[cells] = d[cells]
+        r, c = topk_per_row(held, k)
+        return np.split(vids[c], np.searchsorted(r, np.arange(1, len(qs)))), lats
 
     # ------------------------------------------------------------------
     # Local Rebuilder (background, paper §4.2)

@@ -47,6 +47,16 @@ class VersionMap:
         self._max_vid = max(self._max_vid, vid)
         return 0
 
+    def check_new(self, vids: np.ndarray) -> None:
+        """Refuse a batch before any of it is registered: raises
+        ``ValueError`` when a vid is registered already or occurs twice."""
+        uniq, n = np.unique(np.asarray(vids, dtype=np.int64), return_counts=True)
+        held = uniq < len(self._present)
+        held[held] = self._present[uniq[held]]
+        bad = uniq[(n > 1) | held]
+        if len(bad):
+            raise ValueError(f"vids registered already or repeated in the batch: {bad[:10].tolist()}")
+
     def delete(self, vid: int) -> None:
         """Tombstone: set the deletion bit (replicas become stale)."""
         self._v[vid] |= _DELETE_BIT

@@ -20,14 +20,11 @@ def insert_batch(store: SparkPostingStore, vids: np.ndarray, vecs: np.ndarray) -
     """Insert a batch of vectors; returns the primary pid per vector.
 
     Raises ``ValueError``, registering none of the batch, when a vid is
-    already registered or occurs twice in the batch (see ``VersionMap.add``).
+    already registered or occurs twice in the batch (``VersionMap.check_new``).
     """
     vids = np.asarray(vids, dtype=np.int64)
     vecs = np.asarray(vecs, dtype=np.float64)
-    uniq, n = np.unique(vids, return_counts=True)
-    bad = [int(v) for v, c in zip(uniq, n) if c > 1 or store.version_map.contains(int(v))]
-    if bad:
-        raise ValueError(f"vids registered already or repeated in the batch: {bad[:10]}")
+    store.version_map.check_new(vids)
     rows, pids = lire.closure_pids(store.centroid_index, vecs, store.config)
     for v in vids:
         store.version_map.add(int(v))

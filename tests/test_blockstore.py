@@ -177,6 +177,57 @@ class TestParallelGet:
         assert postings == {} and cost == 0.0
 
 
+class TestBatchGet:
+    """``get_batch`` is one ``get_many`` per request, with each distinct
+    posting assembled once."""
+
+    @staticmethod
+    def store() -> BlockController:
+        ctl = BlockController(SimulatedSSD(block_bytes=64, channels=2), dim=8)
+        for pid, n in enumerate([6, 3, 0, 9, 1]):  # 2, 1, 0, 3 and 1 blocks
+            ctl.put(pid, make_posting(n, vid0=pid * 10))
+        return ctl
+
+    REQUESTS = [[0, 1], [2], [3, 0, 4], [], [1, 2, 3], [4]]
+
+    def test_matches_one_get_many_per_request(self):
+        batch, serial = self.store(), self.store()
+        postings, costs = batch.get_batch(self.REQUESTS)
+        for pids, cost in zip(self.REQUESTS, costs):
+            want, want_cost = serial.get_many(pids)
+            assert cost == want_cost
+            for pid in pids:
+                np.testing.assert_array_equal(postings[pid].vids, want[pid].vids)
+                np.testing.assert_array_equal(postings[pid].versions, want[pid].versions)
+                np.testing.assert_array_equal(postings[pid].vecs, want[pid].vecs)
+        assert batch.ssd.counters == serial.ssd.counters
+        # the two requests without blocks are neither charged nor counted
+        assert costs[1] == costs[3] == 0.0
+        assert batch.ssd.counters.read_batches == len(self.REQUESTS) - 2
+
+    def test_postings_in_first_seen_order(self):
+        postings, _ = self.store().get_batch(self.REQUESTS)
+        assert list(postings) == [0, 1, 2, 3, 4]
+
+    def test_shared_posting_assembled_once(self, monkeypatch):
+        ctl = self.store()
+        assembled = []
+        concat = Posting.concat
+        monkeypatch.setattr(
+            Posting, "concat", staticmethod(lambda parts: assembled.append(parts) or concat(parts))
+        )
+        postings, _ = ctl.get_batch([[0, 3], [3, 0], [0]])
+        # the two multi-block postings, once each; one-block postings need no concat
+        assert len(assembled) == 2
+        assert len(postings[0]) == 6 and len(postings[3]) == 9
+
+    def test_one_block_posting_is_not_copied(self):
+        ctl = self.store()
+        postings, _ = ctl.get_batch([[1], [1, 4]])
+        assert not postings[1].vecs.flags.writeable
+        assert not postings[4].vids.flags.writeable
+
+
 class TestReadOnlyBlocks:
     """GET hands out a one-block posting's stored payload without copying
     it, so a write into the result must fail instead of changing the disk."""

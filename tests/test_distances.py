@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distances import pairwise_sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, topk_indices, topk_per_row
 
 
 class TestPairwiseSqL2:
@@ -30,6 +30,16 @@ class TestPairwiseSqL2:
         d = pairwise_sq_l2(np.ones(4), np.zeros(4))
         assert d.shape == (1, 1) and d[0, 0] == pytest.approx(4.0)
 
+    def test_blocked_norms_keep_every_sum(self):
+        """Row norms formed a block of rows at a time equal the one-shot
+        formula bit for bit, for inputs of several blocks."""
+        rng = np.random.default_rng(3)
+        for dim in (3, 32, 128):
+            x, y = rng.random((4, dim)) * 255, rng.random((3 * (1 << 15) // dim + 5, dim)) * 255
+            for a, b in ((x, y), (y, x)):
+                want = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+                np.testing.assert_array_equal(pairwise_sq_l2(a, b), np.maximum(want, 0.0))
+
     @given(
         st.lists(st.floats(-100, 100), min_size=3, max_size=3),
         st.lists(st.floats(-100, 100), min_size=3, max_size=3),
@@ -49,9 +59,13 @@ class TestTopK:
         d = np.array([2.0, 1.0])
         np.testing.assert_array_equal(topk_indices(d, 10), [1, 0])
 
-    def test_ties_broken_by_index(self):
-        d = np.array([1.0, 1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(topk_indices(d, 3), [2, 0, 1])
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(0, 12))
+    @settings(max_examples=200)
+    def test_ties_broken_by_index(self, values, k):
+        """ORDER BY dist, id, also for a tie at the k-th value."""
+        d = np.array(values, dtype=np.float64)
+        expect = np.lexsort((np.arange(len(d)), d))[:k]
+        np.testing.assert_array_equal(topk_indices(d, k), expect)
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=50), st.integers(1, 10))
     @settings(max_examples=50)
@@ -63,3 +77,18 @@ class TestTopK:
         rest = np.setdiff1d(np.arange(len(d)), idx)
         if len(rest):
             assert d[idx].max() <= d[rest].min()
+
+
+class TestTopKPerRow:
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 30), st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_matches_each_row_sorted(self, seed, n, m, k):
+        """Tie-heavy rows with absent (+inf) entries: each row gives its
+        finite entries in (value, column) order, cut at k."""
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 4, (n, m)).astype(np.float64)
+        d[rng.random((n, m)) < 0.3] = np.inf
+        rows, cols = topk_per_row(d, k)
+        expect = [np.lexsort((np.arange(m), row))[: min(k, np.isfinite(row).sum())] for row in d]
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(n), [len(e) for e in expect]))
+        np.testing.assert_array_equal(cols, np.concatenate(expect))

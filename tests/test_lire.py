@@ -181,17 +181,12 @@ class TestNecessityProperty:
 
 
 def closure_loop(d: np.ndarray, max_replicas: int, eps: float) -> list[np.ndarray]:
-    """Per-row reference for closure assignment over a distance matrix."""
-    k = min(max_replicas, d.shape[1])
-    part = np.argpartition(d, k - 1, axis=1)[:, :k] if k < d.shape[1] else np.tile(
-        np.arange(d.shape[1]), (len(d), 1)
-    )
+    """Per-row reference for closure assignment over a distance matrix: a
+    full sort of each row in (distance, column) order, cut at the cap."""
     out = []
-    for i in range(len(d)):
-        cand = part[i]
-        dist = d[i, cand]
-        order = np.lexsort((cand, dist))
-        cand, dist = cand[order], dist[order]
+    for row in d:
+        cand = np.lexsort((np.arange(len(row)), row))[:max_replicas]
+        dist = row[cand]
         out.append(cand[dist <= (1.0 + eps) ** 2 * dist[0] + 1e-12])
     return out
 

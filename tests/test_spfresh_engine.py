@@ -8,7 +8,7 @@ from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
 from repro.blockstore.controller import Posting
 from repro.core import lire
 from repro.core.distances import pairwise_sq_l2, topk_indices
-from repro.core.spfresh import SPFreshConfig, SPFreshIndex
+from repro.core.spfresh import SEARCH_SLICE, SPFreshConfig, SPFreshIndex
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
 
@@ -100,6 +100,20 @@ class TestSearch:
             idx.insert_batch(np.array([8]), vecs[8:9] + 100.0)
         assert idx.search(vecs[7], 1)[0].tolist() != [7]
         assert idx.search(vecs[8], 1)[0].tolist() == [8]
+
+    @pytest.mark.parametrize("vids", [[1000, 1001, 5, 1002], [1000, 1001, 1000]])
+    def test_refused_batch_inserts_nothing(self, vids):
+        """A held or repeated vid refuses the whole batch, before any of it
+        is inserted."""
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=47)
+        idx = SPFreshIndex.build(vecs, np.arange(300), small_config(dim=8))
+        new = clustered_vectors(n=len(vids), dim=8, n_clusters=4, seed=48)
+        before = copy.deepcopy(idx.stats), idx.ssd.counters.snapshot()
+        with pytest.raises(ValueError):
+            idx.insert_batch(np.array(vids), new)
+        assert (idx.stats, idx.ssd.counters) == before
+        assert 1000 not in idx.search(new[0], 10)[0]
+        assert not idx.version_map.contains(1000)
 
     def test_no_duplicate_vids_in_results(self, built):
         idx, vecs = built
@@ -231,21 +245,44 @@ class TestBatchedSearch:
         assert new.stats == ref.stats
 
     def test_batch_size_does_not_change_answers(self, churned):
+        """Batches of one query, of one slice, one query over a slice and
+        all queries at once (several slices) answer as the per-query
+        Searcher does."""
         idx, qs, _, _ = churned
-        runs = []
-        for b in (1, 8, len(qs)):
+        qs = np.vstack([qs, clustered_vectors(n=2 * SEARCH_SLICE, dim=8, n_clusters=8, seed=49)])
+        ref = copy.deepcopy(idx)
+        want = [per_query_search(ref, q, 10) for q in qs]
+        for batch in (1, SEARCH_SLICE, SEARCH_SLICE + 1, len(qs)):
             run = copy.deepcopy(idx)
             ids, lats = [], []
-            for lo in range(0, len(qs), b):
-                i, l = run.search_batch(qs[lo : lo + b], 10)
+            for lo in range(0, len(qs), batch):
+                i, l = run.search_batch(qs[lo : lo + batch], 10)
                 ids += i
                 lats.append(l)
-            runs.append((ids, np.concatenate(lats), list(run.jobs), run.ssd.counters))
-        for ids, lats, jobs, counters in runs[1:]:
-            for a, b in zip(ids, runs[0][0]):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(lats, runs[0][1])
-            assert jobs == runs[0][2] and counters == runs[0][3]
+            assert len(ids) == len(qs)
+            for (w_ids, w_lat), got, lat in zip(want, ids, np.concatenate(lats)):
+                np.testing.assert_array_equal(got, w_ids)
+                assert lat == w_lat
+            assert list(run.jobs) == list(ref.jobs) and run._pending == ref._pending
+            assert run.ssd.counters == ref.ssd.counters and run.stats == ref.stats
+
+    def test_equal_vectors_ranked_by_vid(self):
+        """Vids that hold the same vector tie on distance; the lower vids
+        win, also where k cuts through the tie."""
+        rng = np.random.default_rng(50)
+        vecs = np.round(clustered_vectors(n=400, dim=8, n_clusters=4, seed=50))
+        idx = SPFreshIndex.build(vecs, np.arange(400), small_config(dim=8))
+        # 14 more vids holding vector 7, in shuffled arrival order, and 3 holding vector 9
+        extra = np.concatenate([rng.permutation(np.arange(1000, 1014)), [2002, 2000, 2001]])
+        idx.insert_batch(extra, vecs[[7] * 14 + [9] * 3])
+        qs = np.vstack([vecs[[7, 9]], vecs[[7]] + 0.5, vecs[:5]])
+        ref = copy.deepcopy(idx)
+        ids, _ = idx.search_batch(qs, 10)
+        for q, got in zip(qs, ids):
+            np.testing.assert_array_equal(got, per_query_search(ref, q, 10)[0])
+        np.testing.assert_array_equal(ids[0], [7, *range(1000, 1009)])
+        np.testing.assert_array_equal(ids[1][:4], [9, 2000, 2001, 2002])
+        np.testing.assert_array_equal(ids[2], [7, *range(1000, 1009)])
 
     def test_search_is_a_batch_of_one(self, churned):
         idx, qs, _, _ = churned
