@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
-# Elements of one block of _sq_norms' scratch (256 KiB of float64).
+# Elements of one block of sq_norms' scratch (256 KiB of float64).
 _NORM_BLOCK = 1 << 15
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
+def sq_norms(a: np.ndarray) -> np.ndarray:
     """Each row's squared L2 norm, ``(a * a).sum(axis=1)`` formed a block of
     rows at a time: the scratch stays bounded and every sum is the same."""
     if a.size <= _NORM_BLOCK:
@@ -24,12 +24,23 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return np.concatenate([(b * b).sum(axis=1) for b in blocks])
 
 
-def pairwise_sq_l2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, d) × (m, d) → (n, m) matrix of squared L2 distances."""
+def pairwise_sq_l2(
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    x_norms: np.ndarray | None = None,
+    y_norms: np.ndarray | None = None,
+) -> np.ndarray:
+    """(n, d) × (m, d) → (n, m) matrix of squared L2 distances.
+
+    ``x_norms`` / ``y_norms`` are the rows' :func:`sq_norms` of float64
+    ``x`` / ``y``, for a caller that keeps them between calls; the result
+    is the same bit for bit.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    xx = _sq_norms(x)[:, None]
-    yy = _sq_norms(y)[None, :]
+    xx = (sq_norms(x) if x_norms is None else x_norms)[:, None]
+    yy = (sq_norms(y) if y_norms is None else y_norms)[None, :]
     d = xx + yy - 2.0 * (x @ y.T)
     np.maximum(d, 0.0, out=d)
     return d

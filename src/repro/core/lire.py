@@ -7,8 +7,9 @@ rounds) call this module and differ only in storage and execution. The
 decisions it owns:
 
 - **Build leaf sizing** (:func:`build_layout`): hierarchical balanced
-  clustering into leaves of 0.6 × the split limit, clustered again with
-  leaves shrunk by the replication factor rho when rho > 1.15.
+  clustering into leaves of 0.6 × the split limit; when the replication
+  factor rho exceeds 1.15, the leaves still above 0.6 × the limit / rho
+  are bisected further.
 - **Closure assignment** (:func:`closure_assign`, :func:`closure_pids`):
   SPANN's replication of boundary vectors (Chen et al., NeurIPS 2021).
 - **Split** (:func:`split`): balanced 2-means over a posting's live rows
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.centroid_index import CentroidIndex
-from repro.core.clustering import balanced_two_means, hierarchical_balanced_clustering
+from repro.core.clustering import balanced_leaves, balanced_two_means, leaf_means
 from repro.core.distances import pairwise_sq_l2, topk_per_row
 from repro.core.version_map import VersionMap
 
@@ -89,6 +90,11 @@ def reassign_candidate_mask(
     return np.where(in_split, (d_old <= d_new).all(axis=1), (d_new <= d_old).any(axis=1))
 
 
+def _closure_limit(nearest: np.ndarray, eps: float) -> np.ndarray:
+    """The farthest distance a replica may sit at, given the nearest one."""
+    return (1.0 + eps) ** 2 * nearest + 1e-12
+
+
 def closure_assign(
     vecs: np.ndarray,
     centroids: np.ndarray,
@@ -109,8 +115,16 @@ def closure_assign(
     rows, cols = topk_per_row(d, max_replicas)
     dist = d[rows, cols]
     nearest = dist[np.searchsorted(rows, rows)]  # each row's first pair
-    keep = dist <= (1.0 + eps) ** 2 * nearest + 1e-12
+    keep = dist <= _closure_limit(nearest, eps)
     return rows[keep], cols[keep]
+
+
+def _closure_size(vecs: np.ndarray, centroids: np.ndarray, *, max_replicas: int, eps: float) -> int:
+    """``len(closure_assign(...)[0])`` without ranking: a row keeps every
+    centroid within the limit, up to the cap."""
+    d = pairwise_sq_l2(vecs, centroids)
+    within = (d <= _closure_limit(d.min(axis=1, keepdims=True), eps)).sum(axis=1)
+    return int(np.minimum(within, max_replicas).sum())
 
 
 def closure_pids(
@@ -127,24 +141,29 @@ def closure_pids(
 def build_layout(
     vecs: np.ndarray, config: SPFreshConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centroids of the initial build and the closure ``(rows, cols)`` onto them."""
-    # Closure replication multiplies posting occupancy by rho; size the
-    # clustering leaves so post-replication postings sit at ~60% of the
-    # split limit (SPANN's balanced build leaves headroom for appends).
-    centroids, _ = hierarchical_balanced_clustering(
-        vecs, max_size=max(2, int(config.split_limit * 0.6)), seed=config.seed
+    """Centroids of the initial build and the closure ``(rows, cols)`` onto them.
+
+    Closure replication multiplies posting occupancy by rho, so the leaves
+    are sized for post-replication postings at ~60% of the split limit
+    (SPANN's balanced build leaves headroom for appends). A first pass
+    clusters into leaves of 0.6 × the split limit; when its rho exceeds
+    1.15, a second pass shrinks the leaves by rho. The second pass refines
+    the first pass's leaves: bisecting only the ones still too large gives
+    the same leaves, in the same order, as clustering again from the root.
+    """
+    x = np.asarray(vecs, dtype=np.float64)
+    leaves = balanced_leaves(
+        x, [(np.arange(len(x)), config.seed)], max_size=max(2, int(config.split_limit * 0.6))
     )
+    centroids = leaf_means(x, leaves)
+    size = _closure_size(vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps)
+    rho = size / max(1, len(vecs))
+    if rho > 1.15:
+        leaves = balanced_leaves(x, leaves, max_size=max(2, int(config.split_limit * 0.6 / rho)))
+        centroids = leaf_means(x, leaves)
     rows, cols = closure_assign(
         vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
     )
-    rho = len(rows) / max(1, len(vecs))
-    if rho > 1.15:
-        centroids, _ = hierarchical_balanced_clustering(
-            vecs, max_size=max(2, int(config.split_limit * 0.6 / rho)), seed=config.seed
-        )
-        rows, cols = closure_assign(
-            vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
-        )
     return centroids, rows, cols
 
 
@@ -225,10 +244,8 @@ def plan_moves(
     stays[inv[np.asarray(cur_pids) == primary[inv]]] = True
     new_version = np.zeros(len(uniq), dtype=np.int64)
     moved = np.zeros(len(uniq), dtype=bool)
-    for u in np.flatnonzero(~stays):
-        v = version_map.bump_cas(int(uniq[u]), int(versions[first[u]]))
-        if v is not None:
-            new_version[u], moved[u] = v, True
+    go = np.flatnonzero(~stays)
+    moved[go], new_version[go] = version_map.bump_cas_many(uniq[go], versions[first[go]])
     take = moved[rows]
     rows = rows[take]
     n_moved = int(moved.sum())

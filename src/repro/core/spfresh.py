@@ -121,9 +121,8 @@ class SPFreshIndex:
         vecs = np.asarray(vecs, dtype=np.float32)
         vids = np.asarray(vids, dtype=np.int64)
         centroids, rows, cols = lire.build_layout(vecs, config)
-        for vid, vec in zip(vids, vecs):
-            self.version_map.add(int(vid))
-            self._vecs[int(vid)] = vec
+        self.version_map.add_many(vids)
+        self._vecs = dict(zip(vids.tolist(), vecs))
         # rows grouped by centroid column, in row order within a posting
         order = np.argsort(cols, kind="stable")
         bounds = np.searchsorted(cols[order], np.arange(len(centroids) + 1))

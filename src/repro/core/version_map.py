@@ -57,6 +57,19 @@ class VersionMap:
         if len(bad):
             raise ValueError(f"vids registered already or repeated in the batch: {bad[:10].tolist()}")
 
+    def add_many(self, vids: np.ndarray) -> None:
+        """Register a batch of fresh vectors at version 0, all or none: a
+        batch that :meth:`check_new` refuses registers nothing."""
+        vids = np.asarray(vids, dtype=np.int64)
+        self.check_new(vids)
+        if not len(vids):
+            return
+        top = int(vids.max())
+        self._ensure(top)
+        self._v[vids] = 0
+        self._present[vids] = True
+        self._max_vid = max(self._max_vid, top)
+
     def delete(self, vid: int) -> None:
         """Tombstone: set the deletion bit (replicas become stale)."""
         self._v[vid] |= _DELETE_BIT
@@ -99,6 +112,17 @@ class VersionMap:
         new = (cur + 1) & _VERSION_MASK  # 7-bit wrap-around
         self._v[vid] = (cur & _DELETE_BIT) | new
         return new
+
+    def bump_cas_many(self, vids: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`bump_cas` of each of the *distinct* ``vids`` against its
+        ``expected`` version. Returns ``(ok, new)``: whether each CAS won,
+        and its new version (0 where it lost)."""
+        vids = np.asarray(vids, dtype=np.int64)
+        cur = self._v[vids]
+        ok = ((cur & _DELETE_BIT) == 0) & ((cur & _VERSION_MASK) == np.asarray(expected))
+        new = np.where(ok, (cur.astype(np.int64) + 1) & _VERSION_MASK, 0)  # 7-bit wrap-around
+        self._v[vids[ok]] = new[ok]  # the deletion bit of a won CAS is clear
+        return ok, new
 
     def memory_bytes(self) -> int:
         """Paper: one byte per vector ever seen."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
 from repro.baselines.diskann import FreshDiskANN
 from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
@@ -35,6 +35,22 @@ from repro.harness import (
 from repro.synth_data import clustered_vectors, ground_truth_knn
 from repro.workloads import make_workload
 
+if TYPE_CHECKING:
+    import pandas as pd
+
+
+def __getattr__(name: str):
+    """``THREADS_TABLE2`` and ``THREADS_TABLE3``, the paper's thread
+    allocations as frames: built on first access, so that importing this
+    module does not import pandas."""
+    tables = {"THREADS_TABLE2": _THREADS_TABLE2, "THREADS_TABLE3": _THREADS_TABLE3}
+    if name not in tables:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import pandas as pd
+
+    frame = globals()[name] = pd.DataFrame(tables[name])
+    return frame
+
 
 def default_config(dim: int = 32, **kw) -> SPFreshConfig:
     return SPFreshConfig(dim=dim, **kw)
@@ -47,6 +63,8 @@ def run_t1_rebuild_cost(*, n_base: int = 10_000, dim: int = 32, update_frac: flo
     """Global-rebuild resource bill (DiskANN-style graph build and
     SPANN-style clustered build) vs SPFresh's incremental cost of
     absorbing the same 1% update batch without any rebuild."""
+    import pandas as pd
+
     vecs = clustered_vectors(n=n_base, dim=dim, n_clusters=64, seed=0)
     vids = np.arange(n_base)
     cfg = default_config(dim)
@@ -116,6 +134,8 @@ def run_f2_inplace(*, n_total: int = 8_000, dim: int = 32, n_queries: int = 400)
     stream is the shifted SPACEV-like mixture, so appends skew posting
     sizes.
     """
+    import pandas as pd
+
     n_base = int(n_total * 0.75)
     n_epochs = 25
     rate = (n_total - n_base) / n_base / n_epochs
@@ -147,16 +167,14 @@ def run_f2_inplace(*, n_total: int = 8_000, dim: int = 32, n_queries: int = 400)
 # ---------------------------------------------------------------------------
 # Table 2 + Figure 7 — 100-day real-world update simulation
 # ---------------------------------------------------------------------------
-THREADS_TABLE2 = pd.DataFrame(
-    {
-        "system": ["DiskANN", "SPANN+", "SPFresh"],
-        "insert": [3, 1, 1],
-        "delete": [1, 1, 1],
-        "search": [2, 2, 2],
-        "background": [10, 2, 2],
-        "total": [16, 6, 6],
-    }
-)
+_THREADS_TABLE2 = {  # Table 2's thread allocation; THREADS_TABLE2 is its frame
+    "system": ["DiskANN", "SPANN+", "SPFresh"],
+    "insert": [3, 1, 1],
+    "delete": [1, 1, 1],
+    "search": [2, 2, 2],
+    "background": [10, 2, 2],
+    "total": [16, 6, 6],
+}
 
 
 def run_f7_update_sim(
@@ -205,6 +223,8 @@ def run_f7_update_sim(
 
 def summarize_f7(series: dict[str, pd.DataFrame]) -> pd.DataFrame:
     """One summary row per system: the Fig. 7 claims in table form."""
+    import pandas as pd
+
     rows = []
     for name, ts in series.items():
         after = ts[ts["epoch"] > 0]
@@ -228,6 +248,8 @@ def summarize_f7(series: dict[str, pd.DataFrame]) -> pd.DataFrame:
 def run_f8_search_scaling(*, n_base: int = 8_000, dim: int = 32, n_queries: int = 200):
     """Measure per-query CPU µs and blocks/query on a built SPFresh index,
     then sweep search threads through the device-saturation model."""
+    import pandas as pd
+
     cfg = default_config(dim)
     vecs = clustered_vectors(n=n_base, dim=dim, n_clusters=64, seed=0)
     idx = SPFreshIndex.build(vecs, np.arange(n_base), cfg)
@@ -251,12 +273,10 @@ def run_f8_search_scaling(*, n_base: int = 8_000, dim: int = 32, n_queries: int 
 # ---------------------------------------------------------------------------
 # Table 3 + Figure 9 — stress test (uniform and skew)
 # ---------------------------------------------------------------------------
-THREADS_TABLE3 = pd.DataFrame(
-    {
-        "role": ["delete/re-insert", "background", "search", "total"],
-        "threads": [4, 3, 8, 15],
-    }
-)
+_THREADS_TABLE3 = {  # Table 3's thread allocation; THREADS_TABLE3 is its frame
+    "role": ["delete/re-insert", "background", "search", "total"],
+    "threads": [4, 3, 8, 15],
+}
 
 
 def run_f9_stress(
@@ -290,6 +310,8 @@ def run_f9_spark_leg(
     pipeline. Demonstrates the distributed index-maintenance path of
     DESIGN.md §3 at the scale where driver-side numpy would not be the
     tool of record."""
+    import pandas as pd
+
     from repro.spark_index import search as sp_search
     from repro.spark_index import updater
     from repro.spark_index.build import build_index
@@ -333,6 +355,8 @@ def run_f10_ablation(
 ):
     """Four variants under the shifted stream, recall-vs-latency per nprobe:
     append-only (SPANN+), +split, +split+reassign (SPFresh), Static."""
+    import pandas as pd
+
     cfg = default_config(dim)
     variants = {
         "in-place only (SPANN+)": spann_plus_config(cfg),
@@ -387,6 +411,8 @@ def run_f11_reassign_range(
     accuracy-vs-range curve only becomes visible on the pure
     nearest-assignment index (see EXPERIMENTS.md).
     """
+    import pandas as pd
+
     rows = []
     for rng in ranges:
         wl = make_workload(
@@ -422,6 +448,8 @@ def run_f12_pipeline(
     Runs with the paper's full reassign range (64 neighbor postings) so
     the background stage carries its real share of I/O.
     """
+    import pandas as pd
+
     cfg = default_config(dim, reassign_range=reassign_range)
     wl = make_workload(
         "spacev", n_base=n_base, dim=dim, n_clusters=64,

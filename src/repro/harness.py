@@ -12,15 +12,17 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import pandas as pd
 
 from repro.baselines.diskann import FreshDiskANN
 from repro.core.latency import LatencyModel
 from repro.core.spfresh import SPFreshIndex
 from repro.workloads import UpdateWorkload
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 
 class SPFreshAdapter:
@@ -218,6 +220,8 @@ def run_update_simulation(
     harness runs the query set, computes recall against exact ground
     truth over the *current live set*, and snapshots resource stats.
     """
+    import pandas as pd
+
     rows = []
 
     def measure(epoch: int, insert_lats: np.ndarray | None = None) -> None:

@@ -29,8 +29,7 @@ def build_index(
     vids = np.asarray(vids, dtype=np.int64)
     centroids, rows, cols = lire.build_layout(vecs, config)
     pids = np.asarray([store.centroid_index.add(c) for c in centroids], dtype=np.int64)
-    for v in vids:
-        store.version_map.add(int(v))
+    store.version_map.add_many(vids)
     pdf = rows_to_pdf(pids[cols], vids[rows], np.zeros(len(rows)), vecs[rows])
     store.write_postings(spark.createDataFrame(pdf, schema=POSTING_SCHEMA))
     store.save_meta()

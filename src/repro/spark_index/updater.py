@@ -20,14 +20,12 @@ def insert_batch(store: SparkPostingStore, vids: np.ndarray, vecs: np.ndarray) -
     """Insert a batch of vectors; returns the primary pid per vector.
 
     Raises ``ValueError``, registering none of the batch, when a vid is
-    already registered or occurs twice in the batch (``VersionMap.check_new``).
+    already registered or occurs twice in the batch (``VersionMap.add_many``).
     """
     vids = np.asarray(vids, dtype=np.int64)
     vecs = np.asarray(vecs, dtype=np.float64)
-    store.version_map.check_new(vids)
     rows, pids = lire.closure_pids(store.centroid_index, vecs, store.config)
-    for v in vids:
-        store.version_map.add(int(v))
+    store.version_map.add_many(vids)
     store.append_rows(rows_to_pdf(pids, vids[rows], np.zeros(len(rows)), vecs[rows]))
     return pids[np.searchsorted(rows, np.arange(len(vids)))]
 

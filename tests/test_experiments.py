@@ -4,8 +4,13 @@ The full-scale tables live in benchmarks/ and jobs/; these tests pin the
 plumbing: every driver runs, returns the expected columns, and the
 cheap-to-check shapes hold even at toy sizes.
 """
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import experiments as ex
 
 
@@ -88,3 +93,25 @@ class TestF12:
         fore, back, model = ex.run_f12_pipeline(n_base=1_500, n_updates=300)
         assert len(fore) == 8 and len(back) == 8
         assert model.fore_us_per_update > 0
+
+
+class TestImportHygiene:
+    def test_core_modules_import_neither_pandas_nor_pyspark(self):
+        # pandas (with pyarrow) costs a core-only process about 0.4 s to import
+        code = (
+            "import sys\n"
+            "import repro.experiments, repro.harness, repro.core.spfresh\n"
+            "print(sorted(m for m in ('pandas', 'pyspark') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_thread_tables_are_frames(self):
+        assert ex.THREADS_TABLE2["total"].tolist() == [16, 6, 6]
+        assert ex.THREADS_TABLE3["threads"].tolist() == [4, 3, 8, 15]
+        assert ex.THREADS_TABLE2 is ex.THREADS_TABLE2

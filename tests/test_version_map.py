@@ -1,6 +1,10 @@
 """Tests for the 1-byte version map (paper §4.1/§4.2)."""
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.version_map import VersionMap
 
@@ -26,6 +30,24 @@ class TestLifecycle:
             with pytest.raises(ValueError):
                 vm.add(vid)
         assert vm.version(1) == 1 and vm.is_deleted(2)
+
+    def test_add_many_equals_a_loop_of_add(self):
+        one, many = VersionMap(capacity=4), VersionMap(capacity=4)
+        vids = np.array([7, 2, 300, 0])
+        for v in vids:
+            one.add(int(v))
+        many.add_many(vids)
+        for got, want in zip(many.entries(), one.entries()):
+            np.testing.assert_array_equal(got, want)
+        assert many.memory_bytes() == one.memory_bytes() == 301
+
+    @pytest.mark.parametrize("batch", [[4, 5, 1], [4, 5, 4]])
+    def test_add_many_refuses_the_whole_batch(self, batch):
+        vm = VersionMap()
+        vm.add(1)
+        with pytest.raises(ValueError):
+            vm.add_many(np.array(batch))
+        assert not vm.contains(4) and not vm.contains(5)
 
     def test_delete_sets_tombstone(self):
         vm = VersionMap()
@@ -70,6 +92,40 @@ class TestCAS:
             assert vm.bump_cas(1, expected) == expected + 1
         assert vm.bump_cas(1, 127) == 0  # wraps to 0, not 128
         assert not vm.is_deleted(1)  # wrap must not touch the delete bit
+
+
+@st.composite
+def cas_batch(draw):
+    """A version map with vids at versions near the 7-bit wrap, some
+    deleted, and a CAS per distinct vid that expects the current version
+    or a stale one."""
+    vm = VersionMap(capacity=8)
+    n = draw(st.integers(0, 30))
+    vids = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    expected = []
+    for v in vids:
+        vm.add(v)
+        version = draw(st.sampled_from([0, 1, 2, 125, 126, 127]))
+        for e in range(version):
+            vm.bump_cas(v, e)
+        if draw(st.booleans()):
+            vm.delete(v)
+        expected.append(draw(st.sampled_from([version, (version + 1) % 128, 0])))
+    return vm, np.array(vids, dtype=np.int64), np.array(expected, dtype=np.int16)
+
+
+class TestBumpCasMany:
+    @given(cas_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_loop_of_bump_cas(self, case):
+        vm, vids, expected = case
+        loop = copy.deepcopy(vm)
+        want = [loop.bump_cas(int(v), int(e)) for v, e in zip(vids, expected)]
+        ok, new = vm.bump_cas_many(vids, expected)
+        assert ok.tolist() == [w is not None for w in want]
+        assert new[ok].tolist() == [w for w in want if w is not None]
+        for got, ref in zip(vm.entries(), loop.entries()):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestStaleness:
