@@ -12,16 +12,18 @@ centroids. We implement:
   centroids and the cut point is chosen to minimise within-cluster cost
   subject to a maximum imbalance ratio. The row norms are formed once per
   call, and only the cut points the ratio allows are costed.
-- :func:`balanced_leaves` — recursive balanced bisection of ``(rows,
-  seed)`` nodes until every leaf holds at most ``max_size`` points. A node
-  is fully determined by its rows and its seed (children get ``2s + 1`` and
+- :func:`balanced_leaves` — the index build's hierarchical balanced
+  clustering: recursive balanced bisection of ``(rows, seed)`` nodes until
+  every leaf holds at most ``max_size`` points. Leaves become postings,
+  their means (:func:`leaf_means`) the initial centroids. A node is fully
+  determined by its rows and its seed (children get ``2s + 1`` and
   ``2s + 2``), so refining the leaves of a coarser pass with a smaller
   ``max_size`` yields exactly the leaves, in the same order, of a fresh
   pass from the root: the build's second pass (``lire.build_layout``)
   bisects only the first pass's leaves that are still too large.
-- :func:`hierarchical_balanced_clustering` — that bisection from the root;
-  leaves become postings, their means (:func:`leaf_means`) the initial
-  centroids.
+- :func:`hierarchical_balanced_clustering` — the from-root convenience
+  form, ``(centroids, labels)`` of one pass; the build itself calls
+  :func:`balanced_leaves` and :func:`leaf_means`, tests call this.
 """
 from __future__ import annotations
 
@@ -121,7 +123,10 @@ def leaf_means(x: np.ndarray, leaves: list[Node]) -> np.ndarray:
 def hierarchical_balanced_clustering(
     x: np.ndarray, *, max_size: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive balanced bisection into leaves of at most ``max_size``.
+    """Recursive balanced bisection from the root into leaves of at most
+    ``max_size``: :func:`balanced_leaves` plus :func:`leaf_means` in the
+    ``(centroids, labels)`` form tests use (``lire.build_layout`` calls
+    those two directly, to refine its first pass).
 
     Returns ``(centroids (k, d), labels (n,))`` where ``labels[i]`` is the
     leaf index of point ``i`` and ``centroids[j]`` the mean of leaf ``j``.

@@ -90,11 +90,6 @@ def reassign_candidate_mask(
     return np.where(in_split, (d_old <= d_new).all(axis=1), (d_new <= d_old).any(axis=1))
 
 
-def _closure_limit(nearest: np.ndarray, eps: float) -> np.ndarray:
-    """The farthest distance a replica may sit at, given the nearest one."""
-    return (1.0 + eps) ** 2 * nearest + 1e-12
-
-
 def closure_assign(
     vecs: np.ndarray,
     centroids: np.ndarray,
@@ -115,16 +110,8 @@ def closure_assign(
     rows, cols = topk_per_row(d, max_replicas)
     dist = d[rows, cols]
     nearest = dist[np.searchsorted(rows, rows)]  # each row's first pair
-    keep = dist <= _closure_limit(nearest, eps)
+    keep = dist <= (1.0 + eps) ** 2 * nearest + 1e-12
     return rows[keep], cols[keep]
-
-
-def _closure_size(vecs: np.ndarray, centroids: np.ndarray, *, max_replicas: int, eps: float) -> int:
-    """``len(closure_assign(...)[0])`` without ranking: a row keeps every
-    centroid within the limit, up to the cap."""
-    d = pairwise_sq_l2(vecs, centroids)
-    within = (d <= _closure_limit(d.min(axis=1, keepdims=True), eps)).sum(axis=1)
-    return int(np.minimum(within, max_replicas).sum())
 
 
 def closure_pids(
@@ -156,14 +143,16 @@ def build_layout(
         x, [(np.arange(len(x)), config.seed)], max_size=max(2, int(config.split_limit * 0.6))
     )
     centroids = leaf_means(x, leaves)
-    size = _closure_size(vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps)
-    rho = size / max(1, len(vecs))
-    if rho > 1.15:
-        leaves = balanced_leaves(x, leaves, max_size=max(2, int(config.split_limit * 0.6 / rho)))
-        centroids = leaf_means(x, leaves)
     rows, cols = closure_assign(
         vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
     )
+    rho = len(rows) / max(1, len(vecs))
+    if rho > 1.15:
+        leaves = balanced_leaves(x, leaves, max_size=max(2, int(config.split_limit * 0.6 / rho)))
+        centroids = leaf_means(x, leaves)
+        rows, cols = closure_assign(
+            vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
+        )
     return centroids, rows, cols
 
 

@@ -16,7 +16,6 @@ from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_two_means
 from repro.core.distances import pairwise_sq_l2
 from repro.core.lire import (
-    _closure_size,
     closure_assign,
     condition_one,
     condition_two,
@@ -216,13 +215,6 @@ class TestClosureAssign:
         expect = closure_loop(pairwise_sq_l2(vecs, cents), max_replicas, eps)
         np.testing.assert_array_equal(rows, np.repeat(np.arange(len(vecs)), [len(e) for e in expect]))
         np.testing.assert_array_equal(cols, np.concatenate(expect))
-
-    @given(closure_case())
-    @settings(max_examples=150, deadline=None)
-    def test_size_counts_the_pairs(self, case):
-        vecs, cents, max_replicas, eps = case
-        rows, _ = closure_assign(vecs, cents, max_replicas=max_replicas, eps=eps)
-        assert _closure_size(vecs, cents, max_replicas=max_replicas, eps=eps) == len(rows)
 
 
 def line_index(*xs: float) -> CentroidIndex:
