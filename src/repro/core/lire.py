@@ -2,14 +2,15 @@
 
 LIRE's decisions are pure functions of the vectors, the centroids and the
 version map, so they are made here, once. ``repro.core.spfresh`` (Block
-Controller, job queue) and ``repro.spark_index`` (Parquet dataset, Spark
-rounds) call this module and differ only in storage and execution. The
-decisions it owns:
+Controller) and ``repro.spark_index`` (Parquet dataset, Spark search) call
+this module, and both run its decisions through the one job queue of
+``repro.core.spfresh.LocalRebuilder``; they differ only in storage and in
+how search executes. The decisions it owns:
 
 - **Build leaf sizing** (:func:`build_layout`): hierarchical balanced
   clustering into leaves of 0.6 × the split limit; when the replication
   factor rho exceeds 1.15, the leaves still above 0.6 × the limit / rho
-  are bisected further.
+  are bisected further. A centroid that receives no vector is dropped.
 - **Closure assignment** (:func:`closure_assign`, :func:`closure_pids`):
   SPANN's replication of boundary vectors (Chen et al., NeurIPS 2021).
 - **Split** (:func:`split`): balanced 2-means over a posting's live rows
@@ -52,7 +53,7 @@ import numpy as np
 
 from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_leaves, balanced_two_means, leaf_means
-from repro.core.distances import pairwise_sq_l2, topk_per_row
+from repro.core.distances import pairwise_sq_l2
 from repro.core.version_map import VersionMap
 
 if TYPE_CHECKING:
@@ -107,10 +108,14 @@ def closure_assign(
     and nearest column first within a row; every row has at least one.
     """
     d = pairwise_sq_l2(vecs, centroids)
-    rows, cols = topk_per_row(d, max_replicas)
-    dist = d[rows, cols]
-    nearest = dist[np.searchsorted(rows, rows)]  # each row's first pair
-    keep = dist <= (1.0 + eps) ** 2 * nearest + 1e-12
+    if not d.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # The columns within the ratio are a prefix of each row's (distance,
+    # column) order, so the cap ranks only them, not the whole row.
+    rows, cols = np.nonzero(d <= (1.0 + eps) ** 2 * d.min(axis=1, keepdims=True) + 1e-12)
+    order = np.lexsort((d[rows, cols], rows))  # stable: equal distances keep column order
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_replicas
     return rows[keep], cols[keep]
 
 
@@ -137,6 +142,8 @@ def build_layout(
     1.15, a second pass shrinks the leaves by rho. The second pass refines
     the first pass's leaves: bisecting only the ones still too large gives
     the same leaves, in the same order, as clustering again from the root.
+    Only the centroids that receive a vector are kept, so the build leaves
+    no empty posting.
     """
     x = np.asarray(vecs, dtype=np.float64)
     leaves = balanced_leaves(
@@ -153,7 +160,10 @@ def build_layout(
         rows, cols = closure_assign(
             vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
         )
-    return centroids, rows, cols
+    # A centroid no vector's closure holds would start as an empty posting.
+    # Dropping it changes no closure: it ranked below every kept column.
+    used, cols = np.unique(cols, return_inverse=True)
+    return centroids[used], rows, cols
 
 
 def split(

@@ -2,26 +2,29 @@
 
 Single-node reference implementation of the LIRE protocol over the
 simulated Block Controller. The *Updater* appends a new vector to its
-nearest posting(s) and tombstones deletes in the version map; when a
-posting exceeds the split limit it enqueues a split job. The *Local
-Rebuilder* drains a job queue of split / merge / reassign jobs —
-off the foreground critical path, as the paper's feed-forward pipeline.
-A split job garbage-collects the posting and splits it only if it is
-still over the limit. A reassign job fetches the split postings and
-their neighbours, filters stale replicas once over all of them, screens
-every live row with one call of the two LIRE necessary conditions, and
-uses version-CAS to execute the reassignments it plans. The *Searcher*
-probes the nprobe nearest postings via ParallelGET, filters stale
-replicas, and triggers merges for undersized postings. It runs a batch of
-queries a slice at a time: one navigation GEMM, one batched ParallelGET
-that assembles each posting once, one staleness filter over the union,
-then one distance GEMM over the distinct live vids and one exact top-k
-in ``(distance, vid)`` order.
+nearest posting(s) and tombstones deletes in the version map. The *Local
+Rebuilder* (:class:`LocalRebuilder`) drains a job queue of split / merge /
+reassign jobs — off the foreground critical path, as the paper's
+feed-forward pipeline. Appends that leave a posting over the split limit
+queue a split job; a split job garbage-collects the posting and splits it
+only if it is still over the limit, then queues a reassign job. A reassign
+job fetches the split postings and their neighbours, filters stale
+replicas once over all of them, screens every live row with one call of
+the two LIRE necessary conditions, and uses version-CAS to execute the
+reassignments it plans. The *Searcher* probes the nprobe nearest postings
+via ParallelGET, filters stale replicas, and queues a merge job for every
+probed posting with fewer than ``merge_limit`` live tuples. It runs a
+batch of queries a slice at a time: one navigation GEMM, one batched
+ParallelGET that assembles each posting once, one staleness filter over
+the union, then one distance GEMM over the distinct live vids and one
+exact top-k in ``(distance, vid)`` order.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
-target) is made by the planner in :mod:`repro.core.lire`; this engine
-keeps the storage and the job queue.
+target) is made by the planner in :mod:`repro.core.lire`. The
+:class:`LocalRebuilder` runs those decisions over any posting store with
+the Block Controller's posting calls; the Spark engine runs it over its
+Parquet store, so both engines keep one job queue and one schedule.
 
 Feature flags reproduce the paper's ablations: ``rebalance=False`` is
 the SPANN+ baseline (append-only; the split job runs with its split step
@@ -76,7 +79,7 @@ class SPFreshConfig:
 class EngineStats:
     """Counters behind the paper's §5.2.2 LIRE statistics. Both engines
     count in it: the core engine in ``SPFreshIndex.stats``, the Spark
-    engine in what ``spark_index.rebalancer.rebalance`` returns."""
+    engine in ``SparkPostingStore.stats``."""
 
     inserts: int = 0
     deletes: int = 0
@@ -94,53 +97,59 @@ class EngineStats:
     foreground_io_us: float = 0.0
 
 
-class SPFreshIndex:
-    """Cluster-based updatable ANN index with in-place LIRE rebalancing."""
+class LocalRebuilder:
+    """The Local Rebuilder (§4.2): one FIFO queue of split, merge and
+    reassign jobs over a posting store with the Block Controller's posting
+    calls (§4.3): ``exists``, ``length``, ``get``, ``get_many``, ``put``,
+    ``append`` and ``delete``, each returning simulated µs (``get`` and
+    ``get_many`` with the postings).
 
-    def __init__(self, config: SPFreshConfig, ssd: SimulatedSSD | None = None):
+    The Updater calls :meth:`inserted` after appending a vector, which
+    queues a split for each of its postings now over the limit; the
+    Searcher calls :meth:`read` with the live counts of the postings it
+    read, which queues a merge for each one under ``merge_limit``, empty
+    ones included. A split queues a reassign job, and the appends of a
+    move or a merge queue splits in turn (§3.4 cascades). ``_pending``
+    keeps a posting's split or merge job queued at most once.
+    """
+
+    def __init__(
+        self,
+        store: BlockController,
+        centroid_index: CentroidIndex,
+        version_map: VersionMap,
+        config: SPFreshConfig,
+        stats: EngineStats,
+    ):
+        self.store = store
+        self.centroid_index = centroid_index
+        self.version_map = version_map
         self.config = config
-        self.ssd = ssd or SimulatedSSD()
-        self.controller = BlockController(self.ssd, config.dim)
-        self.centroid_index = CentroidIndex(config.dim)
-        self.version_map = VersionMap()
+        self.stats = stats
         self.latency = LatencyModel()
         self.jobs: deque[tuple] = deque()
         self._pending: set[tuple[str, int]] = set()  # dedupe split/merge jobs
-        self.stats = EngineStats()
-        self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
 
-    # ------------------------------------------------------------------
-    # Build (SPANN hierarchical balanced clustering + closure assignment)
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls, vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig, ssd: SimulatedSSD | None = None
-    ) -> "SPFreshIndex":
-        """Build a balanced index from scratch (the paper's initial state)."""
-        self = cls(config, ssd)
-        vecs = np.asarray(vecs, dtype=np.float32)
-        vids = np.asarray(vids, dtype=np.int64)
-        centroids, rows, cols = lire.build_layout(vecs, config)
+    def build(self, vecs: np.ndarray, vids: np.ndarray) -> None:
+        """Register the vectors and put the planner's build layout (§3.1)
+        into the store: one posting per centroid, its rows in input order."""
+        centroids, rows, cols = lire.build_layout(vecs, self.config)
         self.version_map.add_many(vids)
-        self._vecs = dict(zip(vids.tolist(), vecs))
         # rows grouped by centroid column, in row order within a posting
         order = np.argsort(cols, kind="stable")
         bounds = np.searchsorted(cols[order], np.arange(len(centroids) + 1))
         for c, centroid in enumerate(centroids):
             r = rows[order[bounds[c] : bounds[c + 1]]]
             posting = Posting(vids[r], np.zeros(len(r), dtype=np.int16), vecs[r])
-            self.controller.put(self.centroid_index.add(centroid), posting)
-        return self
+            self.store.put(self.centroid_index.add(centroid), posting)
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _live(self, posting: Posting) -> Posting:
+    # -- the shared live filter -------------------------------------------
+    def live(self, posting: Posting) -> Posting:
         """Drop stale tuples and duplicate replicas within one posting."""
-        _, live, _ = self._live_rows([posting])
+        _, live, _ = self.live_rows([posting])
         return posting.take(live)
 
-    def _live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live tuples of several postings, found in one pass.
 
         A tuple is live if it is not stale and is the first replica of its
@@ -159,10 +168,12 @@ class SPFreshIndex:
             live = np.sort(live[first])
         return vids, live, np.bincount(seg[live], minlength=len(postings))
 
-    def _maybe_enqueue_split(self, pid: int, depth: int) -> None:
-        if not self.controller.exists(pid):
+    # -- triggers ---------------------------------------------------------
+    def check_split(self, pid: int, depth: int) -> None:
+        """Queue a split job for a posting over the split limit."""
+        if not self.store.exists(pid):
             return
-        length = self.controller.length(pid)
+        length = self.store.length(pid)
         if length <= self.config.split_limit:
             return
         # SPANN+ runs the split job, GC only, each time a posting's length
@@ -172,6 +183,196 @@ class SPFreshIndex:
         if ("split", pid) not in self._pending:
             self._pending.add(("split", pid))
             self.jobs.append(("split", pid, depth))
+
+    def inserted(self, pids: list[int]) -> None:
+        """The Updater's call once a vector is appended to its closure
+        postings ``pids``: check each for a split, and count the insert."""
+        before = len(self.jobs)
+        for pid in pids:
+            self.check_split(pid, 0)
+        if len(self.jobs) > before:
+            self.stats.inserts_triggering_rebalance += 1
+        self.stats.inserts += 1
+
+    def read(self, pids: list[int], n_live: list[int]) -> None:
+        """The Searcher's call with the live counts of the postings it read:
+        queue a merge for each one under ``merge_limit``, in read order."""
+        if not self.config.rebalance or len(self.centroid_index) <= 1:
+            return
+        for pid, n in zip(pids, n_live):
+            if n < self.config.merge_limit and ("merge", pid) not in self._pending:
+                self._pending.add(("merge", pid))
+                self.jobs.append(("merge", pid))
+
+    # -- jobs -------------------------------------------------------------
+    def run(self, max_jobs: int | None = None) -> int:
+        """Drain the job queue; returns the number of jobs run."""
+        done = 0
+        while self.jobs and (max_jobs is None or done < max_jobs):
+            job = self.jobs.popleft()
+            kind = job[0]
+            if kind in ("split", "merge"):
+                self._pending.discard((kind, job[1]))
+            if kind == "split":
+                self._split(job[1], job[2])
+            elif kind == "merge":
+                self._merge(job[1])
+            elif kind == "reassign":
+                self._reassign(*job[1:])
+            done += 1
+        return done
+
+    def _split(self, pid: int, depth: int) -> None:
+        """Garbage-collect the posting, then split it only if it is still
+        over the limit (§4.2.1); SPANN+ never splits."""
+        store, cfg = self.store, self.config
+        if not store.exists(pid):
+            return
+        posting, io = store.get(pid)
+        live = self.live(posting)
+        if len(live) <= cfg.split_limit or not cfg.rebalance:
+            io += store.put(pid, live)
+            self.stats.gc_rewrites += 1
+            self.stats.background_io_us += io
+            return
+        order, centers, labels = lire.split(live.vids, live.vecs, cfg)
+        live = live.take(order)
+        old_centroid = self.centroid_index.centroid(pid).copy()
+        new_pids = (self.centroid_index.add(centers[0]), self.centroid_index.add(centers[1]))
+        for c, npid in zip((0, 1), new_pids):
+            io += store.put(npid, live.take(labels == c))
+        self.centroid_index.remove(pid)
+        store.delete(pid)
+        self.stats.splits += 1
+        self.stats.max_cascade_depth = max(self.stats.max_cascade_depth, depth)
+        self.stats.background_io_us += io
+        # balanced 2-means cost model: n_iter Lloyd passes over the posting
+        self.stats.background_cpu_us += self.latency.scan_us(8 * len(live), cfg.dim)
+        if cfg.reassign:
+            self.jobs.append(("reassign", old_centroid, new_pids, centers, depth))
+        for npid in new_pids:
+            self.check_split(npid, depth + 1)
+
+    def _merge(self, pid: int) -> None:
+        store = self.store
+        if not store.exists(pid) or not self.config.rebalance:
+            return
+        posting, io = store.get(pid)
+        live = self.live(posting)
+        target = None
+        if len(live) < self.config.merge_limit:
+            target = lire.merge_target(self.centroid_index, pid)
+        if target is None:
+            self.stats.background_io_us += io
+            return
+        # delete the shorter posting + its centroid, append its vectors (§3.2)
+        self.centroid_index.remove(pid)
+        store.delete(pid)
+        if len(live):
+            io += store.append(target, live)
+        self.stats.merges += 1
+        self.stats.background_io_us += io
+        # Reassign check for moved vectors only — no neighbor check (§4.2.1)
+        if self.config.reassign and len(live):
+            self.stats.reassign_evaluated += len(live)
+            self._move(live, np.full(len(live), target, dtype=np.int64), depth=0)
+        self.check_split(target, 1)
+
+    def _reassign(
+        self,
+        old_centroid: np.ndarray,
+        new_pids: tuple[int, int],
+        new_centroids: np.ndarray,
+        depth: int,
+    ) -> None:
+        store, cfg = self.store, self.config
+        self.stats.reassign_jobs += 1
+        # the two split postings (condition 1), then their neighbors (condition 2)
+        split_alive = [p for p in new_pids if store.exists(p)]
+        scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
+        nbr = [p for p in scope if store.exists(p)]
+        fetched: dict[int, Posting] = {}
+        for pids in (split_alive, nbr):
+            postings, io = store.get_many(pids)
+            self.stats.background_io_us += io
+            fetched.update(postings)
+        if not fetched:
+            return
+        _, live, n_live = self.live_rows(list(fetched.values()))
+        self.stats.reassign_evaluated += len(live)
+        if not len(live):
+            return
+        rows = Posting.concat(list(fetched.values())).take(live)
+        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
+        mask = lire.reassign_candidate_mask(
+            rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
+        )
+        if not mask.any():
+            return
+        evaluated = self._move(rows.take(mask), cur_pids[mask], depth)
+        self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
+
+    def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:
+        """Plan the candidates' moves, then batch them into one append per
+        target posting — the Local Rebuilder amortizes the last-block RMW
+        across all vectors landing in the same posting (§4.2.2). Returns
+        the number of vectors the plan checked."""
+        plan = lire.plan_moves(
+            cands.vids, cands.versions, cands.vecs, cur_pids,
+            self.centroid_index, self.version_map, self.config,
+        )
+        self.stats.reassign_moved += plan.moved
+        self.stats.reassign_aborted_cas += plan.aborted
+        moved = Posting(plan.vids, plan.versions.astype(np.int16), plan.vecs)
+        # rows grouped by target with one stable sort, targets in first-seen order
+        order = np.argsort(plan.pids, kind="stable")
+        targets, first = np.unique(plan.pids, return_index=True)
+        bounds = np.searchsorted(plan.pids[order], targets)
+        ends = np.append(bounds[1:], len(order))
+        io = 0.0
+        for t in np.argsort(first).tolist():
+            pid = int(targets[t])
+            io += self.store.append(pid, moved.take(order[bounds[t] : ends[t]]))
+            self.check_split(pid, depth + 1)
+        self.stats.background_io_us += io
+        return plan.evaluated
+
+
+class SPFreshIndex:
+    """Cluster-based updatable ANN index with in-place LIRE rebalancing."""
+
+    def __init__(self, config: SPFreshConfig, ssd: SimulatedSSD | None = None):
+        self.config = config
+        self.ssd = ssd or SimulatedSSD()
+        self.controller = BlockController(self.ssd, config.dim)
+        self.centroid_index = CentroidIndex(config.dim)
+        self.version_map = VersionMap()
+        self.latency = LatencyModel()
+        self.stats = EngineStats()
+        self.rebuilder = LocalRebuilder(
+            self.controller, self.centroid_index, self.version_map, config, self.stats
+        )
+        self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
+
+    @property
+    def jobs(self) -> deque[tuple]:
+        """The Local Rebuilder's job queue."""
+        return self.rebuilder.jobs
+
+    # ------------------------------------------------------------------
+    # Build (SPANN hierarchical balanced clustering + closure assignment)
+    # ------------------------------------------------------------------
+    @classmethod
+    def build(
+        cls, vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig, ssd: SimulatedSSD | None = None
+    ) -> "SPFreshIndex":
+        """Build a balanced index from scratch (the paper's initial state)."""
+        self = cls(config, ssd)
+        vecs = np.asarray(vecs, dtype=np.float32)
+        vids = np.asarray(vids, dtype=np.int64)
+        self.rebuilder.build(vecs, vids)
+        self._vecs = dict(zip(vids.tolist(), vecs))
+        return self
 
     # ------------------------------------------------------------------
     # Updater (foreground, paper §4.1)
@@ -203,19 +404,16 @@ class SPFreshIndex:
         """Append one vector to its closure postings ``pids``."""
         self.version_map.add(vid)
         self._vecs[vid] = vec
-        io = 0.0
         tail = Posting(
             np.asarray([vid], dtype=np.int64),
             np.zeros(1, dtype=np.int16),
             vec[None, :],
         )
-        before_jobs = len(self.jobs)
-        for pid in pids.tolist():
+        pids = pids.tolist()
+        io = 0.0
+        for pid in pids:
             io += self.controller.append(pid, tail)
-            self._maybe_enqueue_split(pid, 0)
-        if len(self.jobs) > before_jobs:
-            self.stats.inserts_triggering_rebalance += 1
-        self.stats.inserts += 1
+        self.rebuilder.inserted(pids)
         self.stats.foreground_io_us += io
         return self.latency.insert_us(
             n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
@@ -278,12 +476,8 @@ class SPFreshIndex:
         )
         if not fetched:
             return [np.empty(0, dtype=np.int64) for _ in qs], lats
-        all_vids, live, n_live = self._live_rows(fetched)
-        if cfg.rebalance and n_centroids > 1:
-            for pid, n in zip(postings, n_live.tolist()):  # query order, then navigation order
-                if 0 < n < cfg.merge_limit and ("merge", pid) not in self._pending:
-                    self._pending.add(("merge", pid))
-                    self.jobs.append(("merge", pid))
+        all_vids, live, n_live = self.rebuilder.live_rows(fetched)
+        self.rebuilder.read(list(postings), n_live.tolist())  # query order, then navigation order
         # each query's live rows (places in ``live``), posting by posting in navigation order
         lens = n_live[slot].ravel()
         begin = np.cumsum(n_live) - n_live
@@ -305,129 +499,7 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     def process_jobs(self, max_jobs: int | None = None) -> int:
         """Drain the rebuild job queue; returns the number of jobs run."""
-        done = 0
-        while self.jobs and (max_jobs is None or done < max_jobs):
-            job = self.jobs.popleft()
-            kind = job[0]
-            if kind in ("split", "merge"):
-                self._pending.discard((kind, job[1]))
-            if kind == "split":
-                self._split(job[1], job[2])
-            elif kind == "merge":
-                self._merge(job[1])
-            elif kind == "reassign":
-                self._reassign(*job[1:])
-            done += 1
-        return done
-
-    def _split(self, pid: int, depth: int) -> None:
-        """Garbage-collect the posting, then split it only if it is still
-        over the limit (§4.2.1); SPANN+ never splits."""
-        if not self.controller.exists(pid):
-            return
-        posting, io = self.controller.get(pid)
-        live = self._live(posting)
-        cfg = self.config
-        if len(live) <= cfg.split_limit or not cfg.rebalance:
-            io += self.controller.put(pid, live)
-            self.stats.gc_rewrites += 1
-            self.stats.background_io_us += io
-            return
-        order, centers, labels = lire.split(live.vids, live.vecs, cfg)
-        live = live.take(order)
-        old_centroid = self.centroid_index.centroid(pid).copy()
-        new_pids = (self.centroid_index.add(centers[0]), self.centroid_index.add(centers[1]))
-        for c, npid in zip((0, 1), new_pids):
-            io += self.controller.put(npid, live.take(labels == c))
-        self.centroid_index.remove(pid)
-        self.controller.delete(pid)
-        self.stats.splits += 1
-        self.stats.max_cascade_depth = max(self.stats.max_cascade_depth, depth)
-        self.stats.background_io_us += io
-        # balanced 2-means cost model: n_iter Lloyd passes over the posting
-        self.stats.background_cpu_us += self.latency.scan_us(8 * len(live), cfg.dim)
-        if cfg.reassign:
-            self.jobs.append(("reassign", old_centroid, new_pids, centers, depth))
-        for npid in new_pids:
-            self._maybe_enqueue_split(npid, depth + 1)
-
-    def _merge(self, pid: int) -> None:
-        if not self.controller.exists(pid) or not self.config.rebalance:
-            return
-        posting, io = self.controller.get(pid)
-        live = self._live(posting)
-        target = None
-        if len(live) < self.config.merge_limit:
-            target = lire.merge_target(self.centroid_index, pid)
-        if target is None:
-            self.stats.background_io_us += io
-            return
-        # delete the shorter posting + its centroid, append its vectors (§3.2)
-        self.centroid_index.remove(pid)
-        self.controller.delete(pid)
-        if len(live):
-            io += self.controller.append(target, live)
-        self.stats.merges += 1
-        self.stats.background_io_us += io
-        # Reassign check for moved vectors only — no neighbor check (§4.2.1)
-        if self.config.reassign and len(live):
-            self.stats.reassign_evaluated += len(live)
-            self._move(live, np.full(len(live), target, dtype=np.int64), depth=0)
-        self._maybe_enqueue_split(target, 1)
-
-    def _reassign(
-        self,
-        old_centroid: np.ndarray,
-        new_pids: tuple[int, int],
-        new_centroids: np.ndarray,
-        depth: int,
-    ) -> None:
-        cfg = self.config
-        self.stats.reassign_jobs += 1
-        # the two split postings (condition 1), then their neighbors (condition 2)
-        split_alive = [p for p in new_pids if self.controller.exists(p)]
-        scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
-        nbr = [p for p in scope if self.controller.exists(p)]
-        fetched: dict[int, Posting] = {}
-        for pids in (split_alive, nbr):
-            postings, io = self.controller.get_many(pids)
-            self.stats.background_io_us += io
-            fetched.update(postings)
-        if not fetched:
-            return
-        _, live, n_live = self._live_rows(list(fetched.values()))
-        self.stats.reassign_evaluated += len(live)
-        if not len(live):
-            return
-        rows = Posting.concat(list(fetched.values())).take(live)
-        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
-        mask = lire.reassign_candidate_mask(
-            rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
-        )
-        if not mask.any():
-            return
-        evaluated = self._move(rows.take(mask), cur_pids[mask], depth)
-        self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
-
-    def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:
-        """Plan the candidates' moves, then batch them into one append per
-        target posting — the Local Rebuilder amortizes the last-block RMW
-        across all vectors landing in the same posting (§4.2.2). Returns
-        the number of vectors the plan checked."""
-        plan = lire.plan_moves(
-            cands.vids, cands.versions, cands.vecs, cur_pids,
-            self.centroid_index, self.version_map, self.config,
-        )
-        self.stats.reassign_moved += plan.moved
-        self.stats.reassign_aborted_cas += plan.aborted
-        moved = Posting(plan.vids, plan.versions.astype(np.int16), plan.vecs)
-        targets, first = np.unique(plan.pids, return_index=True)
-        io = 0.0
-        for pid in targets[np.argsort(first)].tolist():
-            io += self.controller.append(pid, moved.take(np.flatnonzero(plan.pids == pid)))
-            self._maybe_enqueue_split(pid, depth + 1)
-        self.stats.background_io_us += io
-        return plan.evaluated
+        return self.rebuilder.run(max_jobs)
 
     # ------------------------------------------------------------------
     # Introspection / resource model

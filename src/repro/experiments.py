@@ -325,6 +325,7 @@ def run_f9_spark_leg(
     store = build_index(spark, wl.base_vecs.astype(np.float64), wl.base_vids, cfg, root)
     rows = []
     for i, e in enumerate(wl.epochs, start=1):
+        before = dataclasses.replace(store.stats)
         updater.delete_batch(store, e.delete_vids)
         updater.insert_batch(store, e.insert_vids, e.insert_vecs.astype(np.float64))
         st = rebalance(store)
@@ -336,9 +337,9 @@ def run_f9_spark_leg(
             {
                 "epoch": i,
                 "recall": recall_at_k(res, gt, 10),
-                "splits": st.splits,
-                "merges": st.merges,
-                "reassign_moved": st.reassign_moved,
+                "splits": st.splits - before.splits,
+                "merges": st.merges - before.merges,
+                "reassign_moved": st.reassign_moved - before.reassign_moved,
                 "max_posting": int(sizes["n_live"].max()),
                 "n_postings": len(store.centroid_index),
             }

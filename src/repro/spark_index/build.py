@@ -1,19 +1,19 @@
 """Initial balanced build of the Spark index (paper §3.1).
 
 The layout (centroids and every vector's closure of nearest postings)
-comes from the LIRE planner on the driver, as for the core engine — SPANN's
+comes from the LIRE planner on the driver and is put into the store by the
+same :meth:`LocalRebuilder.build` call as for the core engine — SPANN's
 build also computes centroids centrally; they are the in-memory index.
-The posting rows, one per (vector, replica), are written as the first
-dataset generation.
+The posting rows, one per (vector, replica), are written as one Parquet
+append when the metadata is committed.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core import lire
 from repro.core.spfresh import SPFreshConfig
-from repro.spark_index.store import POSTING_SCHEMA, SparkPostingStore, rows_to_pdf
+from repro.spark_index.store import SparkPostingStore
 
 
 def build_index(
@@ -25,12 +25,6 @@ def build_index(
 ) -> SparkPostingStore:
     """Build a balanced Spark-backed SPFresh index from scratch."""
     store = SparkPostingStore(spark, root, config)
-    vecs = np.asarray(vecs, dtype=np.float64)
-    vids = np.asarray(vids, dtype=np.int64)
-    centroids, rows, cols = lire.build_layout(vecs, config)
-    pids = np.asarray([store.centroid_index.add(c) for c in centroids], dtype=np.int64)
-    store.version_map.add_many(vids)
-    pdf = rows_to_pdf(pids[cols], vids[rows], np.zeros(len(rows)), vecs[rows])
-    store.write_postings(spark.createDataFrame(pdf, schema=POSTING_SCHEMA))
+    store.rebuilder.build(np.asarray(vecs, dtype=np.float64), np.asarray(vids, dtype=np.int64))
     store.save_meta()
     return store

@@ -10,6 +10,11 @@ operators so the DuckDB oracle can run a line-for-line SQL twin:
 3. replica dedupe — min distance per ``(qid, vid)``;
 4. final top-k — ``row_number`` over ``(distance, vid)`` per query.
 
+Like the core Searcher, a search queues a merge job for each probed
+posting with fewer than ``merge_limit`` live rows (:func:`queue_merges`);
+it picks and counts those postings on the driver, so the job schedule
+never depends on SQL float rounding.
+
 ``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the same four
 relations so ``repro.oracle.assert_equivalent`` catches any divergence
 in the Spark plan (wrong join, wrong dedupe, wrong ranking).
@@ -60,8 +65,27 @@ def probe_postings(q_df: DataFrame, centroids: DataFrame, nprobe: int) -> DataFr
     return ranked.where(F.col("rnk") <= nprobe).select("qid", "pid")
 
 
+def queue_merges(store: SparkPostingStore, queries: np.ndarray) -> None:
+    """The Searcher's merge trigger, as the core engine pulls it: the
+    driver's ``CentroidIndex`` picks each query's probes, one read fetches
+    them, and the shared live filter counts their live rows; a posting
+    under ``merge_limit`` gets a merge job, in query then probe order."""
+    if not store.config.rebalance:
+        return
+    qs = np.asarray(queries, dtype=np.float64)
+    probed = store.centroid_index.search_batch(qs, store.config.nprobe)
+    pids = list(dict.fromkeys(probed.ravel().tolist()))  # first-seen order
+    if not pids:
+        return
+    postings, _ = store.get_many(pids)
+    _, _, n_live = store.rebuilder.live_rows(list(postings.values()))
+    store.rebuilder.read(pids, n_live.tolist())
+
+
 def search_topk(store: SparkPostingStore, queries: np.ndarray, *, k: int) -> DataFrame:
-    """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k."""
+    """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
+    Queues merges for undersized probed postings (:func:`queue_merges`)."""
+    queue_merges(store, queries)
     q_df = queries_df(store, queries)
     probes = probe_postings(q_df, store.centroids_df(), store.config.nprobe)
     live = store.live_df()

@@ -1,15 +1,31 @@
 """Parquet posting store + driver-side index metadata.
 
-The on-disk layout mirrors the paper's Block Controller responsibilities
-translated to a datalake: postings are rows ``(pid, vid, version, vec)``
-in a Parquet dataset (appends add files — the APPEND path; compaction
-rewrites — the PUT/GC path), while the centroid index and the version
-map stay in driver memory like the paper's in-memory SPTAG index and
-version map. Each compaction writes a new dataset generation to a
-``postings_v{n}`` dir and leaves the old one untouched (copy-on-write at
-dataset granularity); the generation in use is the one recorded in the
-driver metadata that ``save_meta`` writes and ``load`` reads, and
-``save_meta`` deletes the generations older than that one.
+The store is the Spark engine's Block Controller (paper §4.3). Postings
+are rows ``(pid, vid, version, vec)`` in a Parquet dataset on the local
+filesystem (the object-store stand-in). The centroid index, the version
+map and each posting's length stay in driver memory, like the paper's
+in-memory SPTAG index, version map and Block Mapping.
+
+The store offers the Block Controller's posting calls, so the core's
+:class:`~repro.core.spfresh.LocalRebuilder` runs over it unchanged; each
+call returns 0 simulated µs:
+
+- ``get`` / ``get_many`` read the postings' rows in one Spark job;
+- ``append`` buffers rows; the buffer is written as one Parquet append
+  before the next read of the dataset and before a metadata commit;
+- ``put`` is an append plus a length reset. The rebuilder puts only a
+  posting's own live rows (GC) or a fresh pid (split), so the rows a put
+  replaces are stale or duplicates: the live view drops them, and
+  compaction deletes them;
+- ``delete`` drops the length; the pid's rows die with its centroid.
+
+Compaction writes the live rows as a new dataset generation, a
+``postings_v{n}`` dir, and leaves the old one untouched (copy-on-write at
+dataset granularity). It changes no length: it is storage GC, which the
+schedule never sees. The generation in use is the one recorded in the
+driver metadata that ``save_meta`` writes and ``load`` reads, with the
+lengths and the rebuilder's queued jobs; ``save_meta`` deletes the
+generations older than that one.
 """
 from __future__ import annotations
 
@@ -24,8 +40,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.blockstore.controller import Posting
 from repro.core.centroid_index import CentroidIndex
-from repro.core.spfresh import SPFreshConfig
+from repro.core.spfresh import EngineStats, LocalRebuilder, SPFreshConfig
 from repro.core.version_map import VersionMap
 
 POSTING_SCHEMA = T.StructType(
@@ -59,8 +76,17 @@ class SparkPostingStore:
         self.config = config
         self.centroid_index = CentroidIndex(config.dim)
         self.version_map = VersionMap()
+        self.stats = EngineStats()
         self._gen = 0
+        self._lengths: dict[int, int] = {}  # pid → tuples, the Block Mapping's lengths
+        self._buffer: list[tuple[int, Posting]] = []  # appends not yet written
+        self._attach_rebuilder()
         os.makedirs(root, exist_ok=True)
+
+    def _attach_rebuilder(self) -> None:
+        self.rebuilder = LocalRebuilder(
+            self, self.centroid_index, self.version_map, self.config, self.stats
+        )
 
     # -- dataset versioning ----------------------------------------------
     @property
@@ -72,15 +98,62 @@ class SparkPostingStore:
         self._gen += 1
         df.write.mode("overwrite").parquet(self.postings_path)
 
-    def append_rows(self, pdf: pd.DataFrame) -> None:
-        """Append new posting tuples (the APPEND path: files only added)."""
-        if not len(pdf):
+    def flush(self) -> None:
+        """Write the buffered appends as one Parquet append (files only added)."""
+        parts = [(pid, p) for pid, p in self._buffer if len(p)]
+        self._buffer = []
+        if not parts:
             return
-        df = self.spark.createDataFrame(pdf, schema=POSTING_SCHEMA)
+        rows = Posting.concat([p for _, p in parts])
+        pids = np.repeat([pid for pid, _ in parts], [len(p) for _, p in parts])
+        pdf = rows_to_pdf(pids, rows.vids, rows.versions, rows.vecs)
+        df = self.spark.createDataFrame(pdf, schema=POSTING_SCHEMA).coalesce(1)
         df.write.mode("append").parquet(self.postings_path)
 
     def postings_df(self) -> DataFrame:
+        self.flush()
         return self.spark.read.schema(POSTING_SCHEMA).parquet(self.postings_path)
+
+    # -- the Block Controller's posting calls (0 simulated µs) -----------
+    def exists(self, pid: int) -> bool:
+        return pid in self._lengths
+
+    def length(self, pid: int) -> int:
+        return self._lengths[pid]
+
+    def get(self, pid: int) -> tuple[Posting, float]:
+        postings, cost = self.get_many([pid])
+        return postings[pid], cost
+
+    def get_many(self, pids: list[int]) -> tuple[dict[int, Posting], float]:
+        """Every row of the postings ``pids``, read in one Spark job."""
+        if not pids:
+            return {}, 0.0
+        pdf = self.postings_df().where(F.col("pid").isin(pids)).toPandas()
+        pdf = pdf.sort_values("pid", kind="stable")
+        at = pdf["pid"].to_numpy()
+        vids = pdf["vid"].to_numpy(np.int64)
+        versions = pdf["version"].to_numpy().astype(np.int16)
+        vecs = np.stack(pdf["vec"].to_numpy()) if len(pdf) else np.empty((0, self.config.dim))
+        lo, hi = np.searchsorted(at, pids), np.searchsorted(at, pids, side="right")
+        return {
+            pid: Posting(vids[a:b], versions[a:b], vecs[a:b])
+            for pid, a, b in zip(pids, lo.tolist(), hi.tolist())
+        }, 0.0
+
+    def put(self, pid: int, posting: Posting) -> float:
+        self._buffer.append((pid, posting))
+        self._lengths[pid] = len(posting)
+        return 0.0
+
+    def append(self, pid: int, tail: Posting) -> float:
+        self._lengths[pid] += len(tail)
+        self._buffer.append((pid, tail))
+        return 0.0
+
+    def delete(self, pid: int) -> float:
+        del self._lengths[pid]
+        return 0.0
 
     # -- driver metadata as DataFrames -----------------------------------
     def versions_df(self) -> DataFrame:
@@ -123,7 +196,7 @@ class SparkPostingStore:
         """Live posting rows: version matches, not tombstoned, and the
         posting still exists (split/merged-away pids are filtered by the
         alive-pid join, the dataset analog of ``controller.delete``). One
-        row per (pid, vid) — the Spark twin of ``SPFreshIndex._live``."""
+        row per (pid, vid) — the Spark twin of ``LocalRebuilder.live``."""
         p = self.postings_df()
         v = self.versions_df()
         alive = self.centroids_df().select("pid")
@@ -135,7 +208,7 @@ class SparkPostingStore:
         )
         return joined.dropDuplicates(["pid", "vid"])
 
-    # -- live sizes (drives split/merge decisions) -----------------------
+    # -- live sizes (inspection; the schedule reads the driver's lengths) -
     def live_sizes(self) -> pd.DataFrame:
         """(pid, n_live) for every alive posting, including empty ones."""
         sizes = self.live_df().groupBy("pid").agg(F.count("*").alias("n_live")).toPandas()
@@ -149,6 +222,7 @@ class SparkPostingStore:
         """Commit the driver metadata (tmp file + ``os.replace``, so a crash
         leaves the old or the new record whole), then delete the dataset
         generations older than the one it records."""
+        self.flush()
         path = os.path.join(self.root, "meta.pkl")
         with open(path + ".tmp", "wb") as fh:
             pickle.dump(
@@ -157,6 +231,9 @@ class SparkPostingStore:
                     "centroid_index": self.centroid_index,
                     "version_map": self.version_map,
                     "gen": self._gen,
+                    "lengths": self._lengths,
+                    "jobs": list(self.rebuilder.jobs),
+                    "pending": self.rebuilder._pending,
                 },
                 fh,
             )
@@ -174,4 +251,8 @@ class SparkPostingStore:
         self.centroid_index = meta["centroid_index"]
         self.version_map = meta["version_map"]
         self._gen = meta["gen"]
+        self._lengths = meta["lengths"]
+        self._attach_rebuilder()
+        self.rebuilder.jobs.extend(meta["jobs"])
+        self.rebuilder._pending = meta["pending"]
         return self

@@ -211,7 +211,8 @@ def ref_hierarchical(x, *, max_size, seed=0):
 
 
 def ref_build_layout(vecs, config):
-    """Also returns whether the second pass ran."""
+    """Also returns whether the second pass ran. Keeps only the centroids
+    some vector's closure holds, as the build does."""
     centroids, _ = ref_hierarchical(
         vecs, max_size=max(2, int(config.split_limit * 0.6)), seed=config.seed
     )
@@ -226,7 +227,9 @@ def ref_build_layout(vecs, config):
         rows, cols = closure_assign(
             vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
         )
-    return centroids, rows, cols, rho > 1.15
+    used = np.flatnonzero(np.bincount(cols, minlength=len(centroids)))
+    renumber = np.cumsum(np.bincount(cols, minlength=len(centroids)) > 0) - 1
+    return centroids[used], rows, renumber[cols], rho > 1.15
 
 
 def assert_same_bits(a, b):

@@ -16,6 +16,7 @@ from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_two_means
 from repro.core.distances import pairwise_sq_l2
 from repro.core.lire import (
+    build_layout,
     closure_assign,
     condition_one,
     condition_two,
@@ -25,6 +26,7 @@ from repro.core.lire import (
 )
 from repro.core.spfresh import SPFreshConfig
 from repro.core.version_map import VersionMap
+from repro.synth_data import clustered_vectors
 
 
 def figure4_scenario():
@@ -286,3 +288,18 @@ class TestSplit:
         np.testing.assert_array_equal(centers, centers2)
         np.testing.assert_array_equal(vids[order], vids[perm][order2])
         np.testing.assert_array_equal(labels, labels2)
+
+
+class TestBuildLayout:
+    def test_every_centroid_used_and_closures_kept(self):
+        """Dropping the centroids no vector's closure holds changes no
+        closure: the layout is the closure assignment onto what is kept.
+        This data's clustering gives 2 of its 174 centroids no vector."""
+        vecs = clustered_vectors(n=2000, dim=16, n_clusters=16, seed=0)
+        cfg = SPFreshConfig(dim=16, split_limit=48, merge_limit=4, reassign_range=4)
+        centroids, rows, cols = build_layout(vecs, cfg)
+        assert len(centroids) == 172
+        np.testing.assert_array_equal(np.unique(cols), np.arange(len(centroids)))
+        want = closure_assign(vecs, centroids, max_replicas=cfg.max_replicas, eps=cfg.closure_eps)
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(cols, want[1])

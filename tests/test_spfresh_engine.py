@@ -8,7 +8,7 @@ from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
 from repro.blockstore.controller import Posting
 from repro.core import lire
 from repro.core.distances import pairwise_sq_l2, topk_indices
-from repro.core.spfresh import SEARCH_SLICE, SPFreshConfig, SPFreshIndex
+from repro.core.spfresh import SEARCH_SLICE, LocalRebuilder, SPFreshConfig, SPFreshIndex
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
 
@@ -49,6 +49,12 @@ class TestBuild:
         total = sum(idx.posting_lengths().values())
         rho = total / len(vecs)
         assert 1.0 <= rho <= idx.config.max_replicas
+
+    def test_no_empty_posting(self, built):
+        """The build keeps only the centroids that receive a vector; the
+        clustering of this data gives 2 of its 174 centroids none."""
+        idx, _ = built
+        assert min(idx.posting_lengths().values()) > 0
 
     def test_deterministic(self):
         vecs = clustered_vectors(n=500, dim=8, n_clusters=8, seed=1)
@@ -123,8 +129,9 @@ class TestSearch:
 
 def per_query_search(idx: SPFreshIndex, q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """The Searcher before batching, kept as the reference: navigate, one
-    ParallelGET, then per posting a staleness filter and replica dedupe, a
-    distance scan and the merge trigger."""
+    ParallelGET, then per posting a staleness filter and replica dedupe, the
+    merge trigger (live < merge_limit, empty postings included) and a
+    distance scan."""
     cfg = idx.config
     q = np.asarray(q, dtype=np.float64)
     pids = idx.centroid_index.search(q, cfg.nprobe)
@@ -138,18 +145,19 @@ def per_query_search(idx: SPFreshIndex, q: np.ndarray, k: int) -> tuple[np.ndarr
         if len(live):  # the first replica of each vid within the posting
             _, first = np.unique(live.vids, return_index=True)
             live = live.take(np.sort(first))
-        if not len(live):
-            continue
-        all_vids.append(live.vids)
-        all_d.append(pairwise_sq_l2(q[None, :], live.vecs)[0])
+        pending = idx.rebuilder._pending
         if (
             cfg.rebalance
             and len(live) < cfg.merge_limit
             and len(idx.centroid_index) > 1
-            and ("merge", pid) not in idx._pending
+            and ("merge", pid) not in pending
         ):
-            idx._pending.add(("merge", pid))
+            pending.add(("merge", pid))
             idx.jobs.append(("merge", pid))
+        if not len(live):
+            continue
+        all_vids.append(live.vids)
+        all_d.append(pairwise_sq_l2(q[None, :], live.vecs)[0])
     lat = idx.latency.search_us(
         n_centroids_compared=len(idx.centroid_index), vectors_scanned=scanned,
         dim=cfg.dim, io_us=io,
@@ -197,7 +205,7 @@ def churned():
     idx.process_jobs()
     dup = target
     # Leave the target one tuple short of the merge limit only once its
-    # duplicate is dropped, as _live drops it.
+    # duplicate is dropped, as the live filter drops it.
     held = live_vids(idx, dup)
     for v in np.setdiff1d(held, shared[:1])[idx.config.merge_limit - 2 :]:
         idx.delete(int(v))
@@ -231,16 +239,16 @@ class TestBatchedSearch:
         assert not idx.jobs
 
     def test_matches_per_query_searcher(self, churned):
-        idx, qs, dup, _ = churned
+        idx, qs, dup, empty = churned
         ref, new = copy.deepcopy(idx), copy.deepcopy(idx)
         want = [per_query_search(ref, q, 10) for q in qs]
         ids, lats = new.search_batch(qs, 10)
         for (w_ids, w_lat), got, lat in zip(want, ids, lats):
             np.testing.assert_array_equal(got, w_ids)
             assert lat == w_lat
-        assert ("merge", dup) in new._pending
+        assert {("merge", dup), ("merge", empty)} <= new.rebuilder._pending
         assert list(new.jobs) == list(ref.jobs)
-        assert new._pending == ref._pending
+        assert new.rebuilder._pending == ref.rebuilder._pending
         assert new.ssd.counters == ref.ssd.counters
         assert new.stats == ref.stats
 
@@ -263,7 +271,8 @@ class TestBatchedSearch:
             for (w_ids, w_lat), got, lat in zip(want, ids, np.concatenate(lats)):
                 np.testing.assert_array_equal(got, w_ids)
                 assert lat == w_lat
-            assert list(run.jobs) == list(ref.jobs) and run._pending == ref._pending
+            assert list(run.jobs) == list(ref.jobs)
+            assert run.rebuilder._pending == ref.rebuilder._pending
             assert run.ssd.counters == ref.ssd.counters and run.stats == ref.stats
 
     def test_equal_vectors_ranked_by_vid(self):
@@ -283,6 +292,16 @@ class TestBatchedSearch:
         np.testing.assert_array_equal(ids[0], [7, *range(1000, 1009)])
         np.testing.assert_array_equal(ids[1][:4], [9, 2000, 2001, 2002])
         np.testing.assert_array_equal(ids[2], [7, *range(1000, 1009)])
+
+    def test_read_of_empty_posting_queues_its_merge(self, churned):
+        """A read that finds 0 live tuples queues a merge, as any read under
+        the merge limit does; the merge then deletes the posting."""
+        idx, qs, _, empty = churned
+        run = copy.deepcopy(idx)
+        run.search_batch(qs[1:2], 10)  # the empty posting's centroid
+        assert ("merge", empty) in run.rebuilder._pending
+        run.process_jobs()
+        assert not run.controller.exists(empty) and empty not in run.centroid_index
 
     def test_search_is_a_batch_of_one(self, churned):
         idx, qs, _, _ = churned
@@ -339,7 +358,7 @@ class TestSplit:
         stored = set()
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            live = idx._live(p)
+            live = idx.rebuilder.live(p)
             stored.update(int(v) for v in live.vids)
         assert stored == set(range(600))
 
@@ -392,7 +411,7 @@ class TestReassign:
         membership: dict[int, set] = {}
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            live = idx._live(p)
+            live = idx.rebuilder.live(p)
             for v in live.vids:
                 membership.setdefault(int(v), set()).add(pid)
         viol = 0
@@ -447,7 +466,7 @@ class TestMerge:
         stored = set()
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            stored.update(int(v) for v in idx._live(p).vids)
+            stored.update(int(v) for v in idx.rebuilder.live(p).vids)
         assert stored == set(range(300, 400))
 
 
@@ -478,22 +497,23 @@ class TestSpannPlus:
         assert sum(idx.posting_lengths().values()) < before
 
 
-def per_posting_live(idx: SPFreshIndex, posting: Posting) -> Posting:
+def per_posting_live(rebuilder: LocalRebuilder, posting: Posting) -> Posting:
     """A posting's tuples that are not stale, first replica of each vid."""
-    live = posting.take(~idx.version_map.is_stale(posting.vids, posting.versions))
+    live = posting.take(~rebuilder.version_map.is_stale(posting.vids, posting.versions))
     _, first = np.unique(live.vids, return_index=True)
     return live.take(np.sort(first))
 
 
-class PerPostingRebuilder(SPFreshIndex):
+class PerPostingRebuilder(LocalRebuilder):
     """The Local Rebuilder before a reassign job screened once, kept as the
     reference: a reassign job filters and screens each fetched posting on
-    its own, and SPANN+ queues a GC job kind of its own."""
+    its own, and SPANN+ queues a GC job kind of its own. Its merge trigger
+    is the shared one (live < merge_limit, empty postings included)."""
 
-    def _maybe_enqueue_split(self, pid: int, depth: int) -> None:
-        if not self.controller.exists(pid):
+    def check_split(self, pid: int, depth: int) -> None:
+        if not self.store.exists(pid):
             return
-        length = self.controller.length(pid)
+        length = self.store.length(pid)
         if length <= self.config.split_limit:
             return
         if self.config.rebalance:
@@ -505,7 +525,7 @@ class PerPostingRebuilder(SPFreshIndex):
                 self._pending.add(("gc", pid))
                 self.jobs.append(("gc", pid))
 
-    def process_jobs(self, max_jobs: int | None = None) -> int:
+    def run(self, max_jobs: int | None = None) -> int:
         done = 0
         while self.jobs and (max_jobs is None or done < max_jobs):
             job = self.jobs.popleft()
@@ -524,23 +544,23 @@ class PerPostingRebuilder(SPFreshIndex):
         return done
 
     def _gc(self, pid: int) -> None:
-        if not self.controller.exists(pid):
+        if not self.store.exists(pid):
             return
-        posting, io = self.controller.get(pid)
+        posting, io = self.store.get(pid)
         live = per_posting_live(self, posting)
-        io += self.controller.put(pid, live)
+        io += self.store.put(pid, live)
         self.stats.gc_rewrites += 1
         self.stats.background_io_us += io
 
     def _reassign(self, old_centroid, new_pids, new_centroids, depth) -> None:
         cfg = self.config
         self.stats.reassign_jobs += 1
-        split_alive = [p for p in new_pids if self.controller.exists(p)]
+        split_alive = [p for p in new_pids if self.store.exists(p)]
         scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
-        nbr = [p for p in scope if self.controller.exists(p)]
+        nbr = [p for p in scope if self.store.exists(p)]
         candidates, cand_from = [], []
         for pids in (split_alive, nbr):
-            postings, io = self.controller.get_many(pids)
+            postings, io = self.store.get_many(pids)
             self.stats.background_io_us += io
             for pid, posting in postings.items():
                 live = per_posting_live(self, posting)
@@ -557,6 +577,24 @@ class PerPostingRebuilder(SPFreshIndex):
         evaluated = self._move(Posting.concat(candidates), np.concatenate(cand_from), depth)
         self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
 
+    def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:
+        """The move step before it grouped targets with one sort: one
+        ``plan.pids == pid`` mask per target, in first-seen order."""
+        plan = lire.plan_moves(
+            cands.vids, cands.versions, cands.vecs, cur_pids,
+            self.centroid_index, self.version_map, self.config,
+        )
+        self.stats.reassign_moved += plan.moved
+        self.stats.reassign_aborted_cas += plan.aborted
+        moved = Posting(plan.vids, plan.versions.astype(np.int16), plan.vecs)
+        targets, first = np.unique(plan.pids, return_index=True)
+        io = 0.0
+        for pid in targets[np.argsort(first)].tolist():
+            io += self.store.append(pid, moved.take(np.flatnonzero(plan.pids == pid)))
+            self.check_split(pid, depth + 1)
+        self.stats.background_io_us += io
+        return plan.evaluated
+
 
 def job_key(job: tuple) -> tuple:
     """A queued job comparable with ``==``; the reference's GC job is the
@@ -566,11 +604,14 @@ def job_key(job: tuple) -> tuple:
     return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in job)
 
 
-def assert_same_state(a: SPFreshIndex, ref: PerPostingRebuilder) -> None:
+def assert_same_state(a: SPFreshIndex, ref: SPFreshIndex) -> None:
+    """``ref`` runs a :class:`PerPostingRebuilder`."""
     assert a.ssd.counters == ref.ssd.counters  # before the reads below
     assert a.stats == ref.stats
     assert [job_key(j) for j in a.jobs] == [job_key(j) for j in ref.jobs]
-    assert a._pending == {("split" if k == "gc" else k, pid) for k, pid in ref._pending}
+    assert a.rebuilder._pending == {
+        ("split" if k == "gc" else k, pid) for k, pid in ref.rebuilder._pending
+    }
     for x, y in zip(a.version_map.entries(), ref.version_map.entries()):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(a.centroid_index.alive_ids, ref.centroid_index.alive_ids)
@@ -581,7 +622,7 @@ def assert_same_state(a: SPFreshIndex, ref: PerPostingRebuilder) -> None:
             np.testing.assert_array_equal(getattr(p, field), getattr(q, field))
 
 
-def drain_in_step(idx: SPFreshIndex, ref: PerPostingRebuilder) -> list[str]:
+def drain_in_step(idx: SPFreshIndex, ref: SPFreshIndex) -> list[str]:
     """Run both queues job by job, comparing after each; returns the kinds run."""
     kinds = []
     while idx.jobs:
@@ -593,9 +634,10 @@ def drain_in_step(idx: SPFreshIndex, ref: PerPostingRebuilder) -> list[str]:
 
 
 class TestRebuilderMatchesPerPostingReference:
-    """One live filter and one screening call per reassign job, and SPANN+'s
-    GC as the split job, leave every posting, queued job and counter as the
-    per-posting Local Rebuilder left them."""
+    """One live filter and one screening call per reassign job, SPANN+'s GC
+    as the split job, and a move's rows grouped by target with one sort,
+    leave every posting, queued job and counter as the per-posting Local
+    Rebuilder left them."""
 
     def test_reassign_jobs(self):
         cfg = small_config(dim=8, reassign_range=64)
@@ -603,7 +645,7 @@ class TestRebuilderMatchesPerPostingReference:
             clustered_vectors(n=1000, dim=8, n_clusters=8, seed=50), np.arange(1000), cfg
         )
         ref = copy.deepcopy(idx)
-        ref.__class__ = PerPostingRebuilder
+        ref.rebuilder.__class__ = PerPostingRebuilder
         qs = clustered_vectors(n=40, dim=8, n_clusters=8, seed=51)
         rng = np.random.default_rng(52)
         kinds = []
@@ -627,7 +669,7 @@ class TestRebuilderMatchesPerPostingReference:
         vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=54)
         idx = build_spann_plus(vecs, np.arange(500), small_config(dim=8))
         ref = copy.deepcopy(idx)
-        ref.__class__ = PerPostingRebuilder
+        ref.rebuilder.__class__ = PerPostingRebuilder
         new = clustered_vectors(n=900, dim=8, n_clusters=4, seed=55)
         vids = 500 + np.random.default_rng(56).permutation(900)  # tuple order is not vid order
         for lo in range(0, 900, 150):
