@@ -336,6 +336,60 @@ class TestCrossEngine:
         assert min(core.posting_lengths().values()) > 0
         assert live_postings(st) == core_live_postings(core)
 
+    def test_recall_parity_after_updates(self, spark, base_data, tmp_path):
+        """After the same update stream, both engines keep recall within a
+        small gap."""
+        vecs, vids = base_data
+        cfg = small_cfg()
+        st = build_index(spark, vecs[:400], vids[:400], cfg, str(tmp_path / "x2"))
+        core = SPFreshIndex.build(vecs[:400].astype(np.float32), vids[:400], cfg)
+        new = clustered_vectors(n=100, dim=8, n_clusters=8, seed=17).astype(np.float64)
+        nvids = np.arange(7000, 7100)
+        updater.insert_batch(st, nvids, new)
+        rebalance(st)
+        core.insert_batch(nvids, new)
+        core.process_jobs()
+        qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=18).astype(np.float64)
+        all_vecs = np.vstack([vecs[:400], new])
+        all_vids = np.concatenate([vids[:400], nvids])
+        gt = all_vids[ground_truth_knn(all_vecs, qs, 10)]
+        spark_res = sp_search.search_results_matrix(st, qs, k=10)
+        rec_spark = np.mean([len(np.intersect1d(spark_res[i], gt[i])) / 10 for i in range(20)])
+        rec_core = np.mean(
+            [len(np.intersect1d(core.search(q, 10)[0], gt[i])) / 10 for i, q in enumerate(qs)]
+        )
+        assert abs(rec_spark - rec_core) < 0.08
+
+    def test_split_and_reassign_round_matches_core_engine(self, spark, base_data, tmp_path):
+        """One split and its reassignment, from the same build and the same
+        insert batch, leave both engines with identical live postings and
+        identical top-10 answers."""
+        vecs, vids = base_data
+        cfg = small_cfg()
+        st = build_index(spark, vecs[:400], vids[:400], cfg, str(tmp_path / "x3"))
+        core = SPFreshIndex.build(vecs[:400].astype(np.float32), vids[:400], cfg)
+        # Overflow exactly one posting, the longest, with vectors close to
+        # its centroid (their closure is that posting alone).
+        sizes = core.posting_lengths()
+        pid = max(sizes, key=sizes.get)
+        n_new = cfg.split_limit - sizes[pid] + 6
+        rng = np.random.default_rng(19)
+        new = (core.centroid_index.centroid(pid) + rng.normal(0, 1.0, (n_new, 8))).astype(np.float32)
+        nvids = np.arange(8000, 8000 + n_new)
+        core.insert_batch(nvids, new)
+        core.process_jobs()
+        updater.insert_batch(st, nvids, new.astype(np.float64))
+        stats = rebalance(st)
+        assert core.stats.splits == stats.splits == 1
+        assert core.stats.reassign_moved == stats.reassign_moved > 0
+        assert st.live_sizes()["n_live"].max() <= cfg.split_limit  # no cascade pending
+        assert live_postings(st) == core_live_postings(core)
+
+        qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=18).astype(np.float32)
+        spark_res = sp_search.search_results_matrix(st, qs.astype(np.float64), k=10)
+        for q, got in zip(qs, spark_res):
+            np.testing.assert_array_equal(got, core.search(q, 10)[0])
+
     def test_update_stream_matches_core_engine(self, spark, base_data, tmp_path):
         """Both engines run one Local Rebuilder over their own posting
         store, so from one build and one update stream they stay equal.
