@@ -15,7 +15,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.blockstore.ssd import SimulatedSSD
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 
 
@@ -25,8 +24,6 @@ def spann_plus_config(config: SPFreshConfig) -> SPFreshConfig:
     return dataclasses.replace(config, rebalance=False)
 
 
-def build_spann_plus(
-    vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig, ssd: SimulatedSSD | None = None
-) -> SPFreshIndex:
+def build_spann_plus(vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig) -> SPFreshIndex:
     """Build the append-only baseline on the same initial balanced index."""
-    return SPFreshIndex.build(vecs, vids, spann_plus_config(config), ssd)
+    return SPFreshIndex.build(vecs, vids, spann_plus_config(config))

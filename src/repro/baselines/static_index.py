@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blockstore.ssd import SimulatedSSD
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 
 
@@ -30,14 +29,11 @@ class RebuildCost:
 
 
 def static_rebuild(
-    vecs: np.ndarray,
-    vids: np.ndarray,
-    config: SPFreshConfig,
-    ssd: SimulatedSSD | None = None,
+    vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig
 ) -> tuple[SPFreshIndex, RebuildCost]:
     """Globally rebuild a balanced index; returns (index, resource bill)."""
     t0 = time.perf_counter()
-    index = SPFreshIndex.build(vecs, vids, config, ssd)
+    index = SPFreshIndex.build(vecs, vids, config)
     wall = time.perf_counter() - t0
     n, dim = vecs.shape
     leaf = max(2, int(config.split_limit * 0.6))

@@ -1,30 +1,34 @@
 """The SPFresh engine: Updater + Local Rebuilder + Searcher (paper §4).
 
-Single-node reference implementation of the LIRE protocol over the
-simulated Block Controller. The *Updater* appends a new vector to its
-nearest posting(s) and tombstones deletes in the version map. The *Local
-Rebuilder* (:class:`LocalRebuilder`) drains a job queue of split / merge /
-reassign jobs — off the foreground critical path, as the paper's
-feed-forward pipeline. Appends that leave a posting over the split limit
-queue a split job; a split job garbage-collects the posting and splits it
-only if it is still over the limit, then queues a reassign job. A reassign
-job fetches the split postings and their neighbours, filters stale
-replicas once over all of them, screens every live row with one call of
-the two LIRE necessary conditions, and uses version-CAS to execute the
-reassignments it plans. The *Searcher* probes the nprobe nearest postings
-via ParallelGET, filters stale replicas, and queues a merge job for every
-probed posting with fewer than ``merge_limit`` live tuples. It runs a
-batch of queries a slice at a time: one navigation GEMM, one batched
+Single-node reference implementation of the LIRE protocol over a posting
+store: the simulated Block Controller by default, or the Spark engine's
+Parquet store (:mod:`repro.spark_index`). The *Updater* appends a new
+vector to its nearest posting(s) and tombstones deletes in the version
+map. The *Local Rebuilder* (:class:`LocalRebuilder`) drains a job queue
+of split / merge / reassign jobs — off the foreground critical path, as
+the paper's feed-forward pipeline. Appends that leave a posting over the
+split limit queue a split job; a split job garbage-collects the posting
+and splits it only if it is still over the limit, then queues a reassign
+job. A reassign job fetches the split postings and their neighbours,
+filters stale replicas once over all of them, screens every live row
+with one call of the two LIRE necessary conditions, and uses version-CAS
+to execute the reassignments it plans. The *Searcher* probes the nprobe
+nearest postings via ParallelGET, filters stale replicas, and queues a
+merge job for every probed posting with fewer than ``merge_limit`` live
+tuples. It runs a batch of queries a slice at a time: a read step
+(:meth:`SPFreshIndex.probe`: one navigation GEMM, one batched
 ParallelGET that assembles each posting once, one staleness filter over
-the union, then one distance GEMM over the distinct live vids and one
-exact top-k in ``(distance, vid)`` order.
+the union and the merge trigger), then one distance GEMM over the
+distinct live vids and one exact top-k in ``(distance, vid)`` order. The
+Spark search runs the same read step once per batch and scans in SQL.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
 target) is made by the planner in :mod:`repro.core.lire`. The
 :class:`LocalRebuilder` runs those decisions over any posting store with
-the Block Controller's posting calls; the Spark engine runs it over its
-Parquet store, so both engines keep one job queue and one schedule.
+the Block Controller's posting calls. The Spark engine is an
+:class:`SPFreshIndex` over its Parquet store, so both engines share one
+Updater, one job queue and one schedule, and differ only in storage.
 
 Feature flags reproduce the paper's ablations: ``rebalance=False`` is
 the SPANN+ baseline (append-only; the split job runs with its split step
@@ -77,9 +81,8 @@ class SPFreshConfig:
 
 @dataclass
 class EngineStats:
-    """Counters behind the paper's §5.2.2 LIRE statistics. Both engines
-    count in it: the core engine in ``SPFreshIndex.stats``, the Spark
-    engine in ``SparkPostingStore.stats``."""
+    """Counters behind the paper's §5.2.2 LIRE statistics, in
+    ``SPFreshIndex.stats`` on both engines."""
 
     inserts: int = 0
     deletes: int = 0
@@ -339,12 +342,17 @@ class LocalRebuilder:
 
 
 class SPFreshIndex:
-    """Cluster-based updatable ANN index with in-place LIRE rebalancing."""
+    """Cluster-based updatable ANN index with in-place LIRE rebalancing.
 
-    def __init__(self, config: SPFreshConfig, ssd: SimulatedSSD | None = None):
+    ``store`` is the posting store, any object with the Block Controller's
+    posting calls and ``get_batch``; the default is a
+    :class:`BlockController` over a fresh :class:`SimulatedSSD`. The Spark
+    engine passes its Parquet store.
+    """
+
+    def __init__(self, config: SPFreshConfig, store: BlockController | None = None):
         self.config = config
-        self.ssd = ssd or SimulatedSSD()
-        self.controller = BlockController(self.ssd, config.dim)
+        self.controller = store if store is not None else BlockController(SimulatedSSD(), config.dim)
         self.centroid_index = CentroidIndex(config.dim)
         self.version_map = VersionMap()
         self.latency = LatencyModel()
@@ -353,6 +361,11 @@ class SPFreshIndex:
             self.controller, self.centroid_index, self.version_map, config, self.stats
         )
         self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
+
+    @property
+    def ssd(self) -> SimulatedSSD:
+        """The simulated device under the default Block Controller."""
+        return self.controller.ssd
 
     @property
     def jobs(self) -> deque[tuple]:
@@ -364,10 +377,12 @@ class SPFreshIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls, vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig, ssd: SimulatedSSD | None = None
+        cls, vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig,
+        store: BlockController | None = None,
     ) -> "SPFreshIndex":
-        """Build a balanced index from scratch (the paper's initial state)."""
-        self = cls(config, ssd)
+        """Build a balanced index from scratch (the paper's initial state)
+        into ``store``, an empty posting store (default: a fresh one)."""
+        self = cls(config, store)
         vecs = np.asarray(vecs, dtype=np.float32)
         vids = np.asarray(vids, dtype=np.int64)
         self.rebuilder.build(vecs, vids)
@@ -451,17 +466,31 @@ class SPFreshIndex:
             lats.append(slice_lats)
         return ids, np.concatenate(lats) if lats else np.empty(0)
 
-    def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """One slice of :meth:`search_batch`: one navigation GEMM, one
-        ParallelGET per query with each posting assembled once, one
-        staleness filter over the union, then one distance GEMM over the
-        distinct live vids and one exact top-k in ``(distance, vid)`` order."""
-        cfg = self.config
-        n_centroids = len(self.centroid_index)
-        probed = self.centroid_index.search_batch(qs, cfg.nprobe)
+    def probe(
+        self, qs: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, Posting], list[float], tuple | None]:
+        """The Searcher's read step: one navigation GEMM, one ParallelGET per
+        query with each posting assembled once (``get_batch``), and one
+        staleness filter over the union, whose live counts go to the Local
+        Rebuilder's merge trigger in first-seen order (query order, then
+        navigation order). Returns each query's probed pids, the fetched
+        postings, each query's simulated I/O µs and their ``live_rows``
+        (``None`` when nothing was fetched)."""
+        probed = self.centroid_index.search_batch(qs, self.config.nprobe)
         postings, ios = self.controller.get_batch(probed.tolist())
         for io in ios:
             self.stats.foreground_io_us += io
+        if not postings:
+            return probed, postings, ios, None
+        rows = self.rebuilder.live_rows(list(postings.values()))
+        self.rebuilder.read(list(postings), rows[2].tolist())
+        return probed, postings, ios, rows
+
+    def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """One slice of :meth:`search_batch`: the read step (:meth:`probe`),
+        then one distance GEMM over the distinct live vids and one exact
+        top-k in ``(distance, vid)`` order."""
+        probed, postings, ios, rows = self.probe(qs)
         fetched = list(postings.values())
         # slot[i, j]: the place of query i's j-th probe among the fetched postings
         pids = np.fromiter(postings, dtype=np.int64, count=len(fetched))
@@ -469,15 +498,14 @@ class SPFreshIndex:
         slot = by_pid[np.searchsorted(pids[by_pid], probed)]
         on_disk = np.array([len(p.vids) for p in fetched], dtype=np.int64)
         lats = self.latency.search_us(
-            n_centroids_compared=n_centroids,
+            n_centroids_compared=len(self.centroid_index),
             vectors_scanned=on_disk[slot].sum(axis=1),
-            dim=cfg.dim,
+            dim=self.config.dim,
             io_us=np.asarray(ios),
         )
-        if not fetched:
+        if rows is None:
             return [np.empty(0, dtype=np.int64) for _ in qs], lats
-        all_vids, live, n_live = self.rebuilder.live_rows(fetched)
-        self.rebuilder.read(list(postings), n_live.tolist())  # query order, then navigation order
+        all_vids, live, n_live = rows
         # each query's live rows (places in ``live``), posting by posting in navigation order
         lens = n_live[slot].ravel()
         begin = np.cumsum(n_live) - n_live

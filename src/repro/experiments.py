@@ -313,26 +313,25 @@ def run_f9_spark_leg(
     import pandas as pd
 
     from repro.spark_index import search as sp_search
-    from repro.spark_index import updater
-    from repro.spark_index.build import build_index
-    from repro.spark_index.rebalancer import rebalance
+    from repro.spark_index.engine import build_index, insert_batch, live_sizes, rebalance
 
     wl = make_workload(
         "spacev", n_base=n_base, dim=dim, n_clusters=64,
         n_epochs=n_epochs, n_queries=n_queries, seed=0,
     )
     cfg = default_config(dim, nprobe=nprobe)
-    store = build_index(spark, wl.base_vecs.astype(np.float64), wl.base_vids, cfg, root)
+    idx = build_index(spark, wl.base_vecs, wl.base_vids, cfg, root)
     rows = []
     for i, e in enumerate(wl.epochs, start=1):
-        before = dataclasses.replace(store.stats)
-        updater.delete_batch(store, e.delete_vids)
-        updater.insert_batch(store, e.insert_vids, e.insert_vecs.astype(np.float64))
-        st = rebalance(store)
+        before = dataclasses.replace(idx.stats)
+        for vid in e.delete_vids:
+            idx.delete(int(vid))
+        insert_batch(idx, e.insert_vids, e.insert_vecs)
+        st = rebalance(idx)
         wl.apply(e)
         _, gt = wl.ground_truth(10)
-        res = sp_search.search_results_matrix(store, wl.query_vecs.astype(np.float64), k=10)
-        sizes = store.live_sizes()
+        res = sp_search.search_results_matrix(idx, wl.query_vecs.astype(np.float64), k=10)
+        sizes = live_sizes(idx)
         rows.append(
             {
                 "epoch": i,
@@ -341,7 +340,7 @@ def run_f9_spark_leg(
                 "merges": st.merges - before.merges,
                 "reassign_moved": st.reassign_moved - before.reassign_moved,
                 "max_posting": int(sizes["n_live"].max()),
-                "n_postings": len(store.centroid_index),
+                "n_postings": len(idx.centroid_index),
             }
         )
     return pd.DataFrame(rows)

@@ -1,22 +1,21 @@
 """Distributed-dataflow SPFresh over Spark DataFrames + Parquet.
 
 This package is the scale-out implementation of the LIRE protocol mapped
-onto a datalake layout (DESIGN.md §3). Spark is the posting store: postings
-live as a Parquet dataset ``(pid, vid, version, vec)`` on the local
-filesystem (the object-store stand-in), which Spark reads, appends to and
-compacts. The centroid index, the version map and the posting lengths are
-driver-resident in-memory structures, exactly like the paper's SPTAG
-index, version map and Block Mapping. Maintenance is the core engine's
-:class:`~repro.core.spfresh.LocalRebuilder`, planned on the driver over
-this store, so both engines run one job queue. Spark is also the search
-pipeline: batch top-k as a pure DataFrame plan.
+onto a datalake layout (DESIGN.md §3). The Spark engine is a
+:class:`~repro.core.spfresh.SPFreshIndex` whose posting store is a
+Parquet dataset ``(pid, vid, version, vec)`` on the local filesystem (the
+object-store stand-in), which Spark reads, appends to and compacts. The
+Updater, the Local Rebuilder's job queue and the Searcher's read step are
+the core engine's, run on the driver over that store; the two engines
+differ only in storage and execution. Spark is also the search pipeline:
+batch top-k as a pure DataFrame plan.
 
-Modules: :mod:`store` (Parquet posting store behind the Block Controller's
-posting calls + driver metadata), :mod:`build` (initial balanced build),
-:mod:`updater` (insert/delete batches), :mod:`rebalancer` (drain the job
-queue, compact, commit), :mod:`search` (batch top-k as a pure DataFrame
-pipeline with a DuckDB SQL twin for the oracle, and the Searcher's merge
-trigger).
+Modules: :mod:`store` (the Parquet posting store behind the Block
+Controller's posting calls, holding storage state only), :mod:`engine`
+(build, the insert batch's Parquet append, the metadata commit and load,
+the live view as DataFrames, compaction and ``rebalance``), :mod:`search`
+(batch top-k as a pure DataFrame pipeline with a DuckDB SQL twin for the
+oracle).
 """
 from repro.spark_index.store import SparkPostingStore
 

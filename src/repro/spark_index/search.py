@@ -10,10 +10,11 @@ operators so the DuckDB oracle can run a line-for-line SQL twin:
 3. replica dedupe — min distance per ``(qid, vid)``;
 4. final top-k — ``row_number`` over ``(distance, vid)`` per query.
 
-Like the core Searcher, a search queues a merge job for each probed
-posting with fewer than ``merge_limit`` live rows (:func:`queue_merges`);
-it picks and counts those postings on the driver, so the job schedule
-never depends on SQL float rounding.
+A search first runs the core Searcher's read step
+(``SPFreshIndex.probe``) once for the whole batch, which queues a merge
+job for each probed posting with fewer than ``merge_limit`` live rows; the
+driver picks and counts those postings, so the job schedule never depends
+on SQL float rounding.
 
 ``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the same four
 relations so ``repro.oracle.assert_equivalent`` catches any divergence
@@ -27,7 +28,8 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.spark_index.store import SparkPostingStore
+from repro.core.spfresh import SPFreshIndex
+from repro.spark_index.engine import centroids_df, live_df
 
 # squared L2 between two array<double> columns, in pure Spark SQL
 SQ_L2 = (
@@ -36,7 +38,7 @@ SQ_L2 = (
 )
 
 
-def queries_df(store: SparkPostingStore, queries: np.ndarray) -> DataFrame:
+def queries_df(idx: SPFreshIndex, queries: np.ndarray) -> DataFrame:
     pdf = pd.DataFrame(
         {
             "qid": np.arange(len(queries), dtype=np.int64),
@@ -49,7 +51,7 @@ def queries_df(store: SparkPostingStore, queries: np.ndarray) -> DataFrame:
             T.StructField("qvec", T.ArrayType(T.DoubleType()), False),
         ]
     )
-    return store.spark.createDataFrame(pdf, schema=schema)
+    return idx.controller.spark.createDataFrame(pdf, schema=schema)
 
 
 def probe_postings(q_df: DataFrame, centroids: DataFrame, nprobe: int) -> DataFrame:
@@ -65,30 +67,15 @@ def probe_postings(q_df: DataFrame, centroids: DataFrame, nprobe: int) -> DataFr
     return ranked.where(F.col("rnk") <= nprobe).select("qid", "pid")
 
 
-def queue_merges(store: SparkPostingStore, queries: np.ndarray) -> None:
-    """The Searcher's merge trigger, as the core engine pulls it: the
-    driver's ``CentroidIndex`` picks each query's probes, one read fetches
-    them, and the shared live filter counts their live rows; a posting
-    under ``merge_limit`` gets a merge job, in query then probe order."""
-    if not store.config.rebalance:
-        return
-    qs = np.asarray(queries, dtype=np.float64)
-    probed = store.centroid_index.search_batch(qs, store.config.nprobe)
-    pids = list(dict.fromkeys(probed.ravel().tolist()))  # first-seen order
-    if not pids:
-        return
-    postings, _ = store.get_many(pids)
-    _, _, n_live = store.rebuilder.live_rows(list(postings.values()))
-    store.rebuilder.read(pids, n_live.tolist())
-
-
-def search_topk(store: SparkPostingStore, queries: np.ndarray, *, k: int) -> DataFrame:
+def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
-    Queues merges for undersized probed postings (:func:`queue_merges`)."""
-    queue_merges(store, queries)
-    q_df = queries_df(store, queries)
-    probes = probe_postings(q_df, store.centroids_df(), store.config.nprobe)
-    live = store.live_df()
+    Its read step queues merges for undersized probed postings; SPANN+
+    queues none, so it skips the read."""
+    if idx.config.rebalance:
+        idx.probe(np.asarray(queries, dtype=np.float64))
+    q_df = queries_df(idx, queries)
+    probes = probe_postings(q_df, centroids_df(idx), idx.config.nprobe)
+    live = live_df(idx)
     cand = (
         probes.join(live, on="pid")
         .join(q_df, on="qid")
@@ -117,7 +104,7 @@ def duckdb_twin_sql(nprobe: int, k: int) -> str:
     ), sel AS (
         SELECT qid, pid FROM probes WHERE rnk <= {nprobe}
     ), live AS (
-        -- alive-pid join mirrors SparkPostingStore.live_df: rows of
+        -- alive-pid join mirrors engine.live_df: rows of
         -- split/merged-away postings are dead even if their version holds
         SELECT DISTINCT p.pid, p.vid, p.vec
         FROM postings p
@@ -139,9 +126,9 @@ def duckdb_twin_sql(nprobe: int, k: int) -> str:
     """
 
 
-def search_results_matrix(store: SparkPostingStore, queries: np.ndarray, *, k: int) -> list[np.ndarray]:
+def search_results_matrix(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> list[np.ndarray]:
     """Collect search_topk into per-query vid arrays (rank order)."""
-    pdf = search_topk(store, queries, k=k).toPandas()
+    pdf = search_topk(idx, queries, k=k).toPandas()
     out: list[np.ndarray] = []
     for qid in range(len(queries)):
         rows = pdf[pdf["qid"] == qid].sort_values("rnk")

@@ -3,9 +3,10 @@
 A "crash" drops every live in-memory object; recovery loads the latest
 snapshot and replays the WAL. For the core engine the snapshot is the
 pickled engine (its state is exactly the paper's in-memory structures +
-simulated disk); for the Spark engine it is ``save_meta`` plus the
-Parquet dataset generation (whose append-only rows are idempotent under
-replay because ``live_df`` dedupes on (pid, vid)).
+simulated disk); for the Spark engine it is the metadata ``commit`` (the
+pickled index, without posting rows) plus the Parquet dataset generation
+(whose append-only rows are idempotent under replay because ``live_df``
+dedupes on (pid, vid)).
 """
 import pickle
 
@@ -15,10 +16,15 @@ import pytest
 from repro.blockstore.wal import RecoveryLog
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.spark_index import search as sp_search
-from repro.spark_index import updater
-from repro.spark_index.build import build_index
-from repro.spark_index.rebalancer import rebalance
+from repro.spark_index.engine import (
+    build_index, commit, insert_batch, live_df, live_sizes, load_index, rebalance,
+)
 from repro.synth_data import clustered_vectors
+
+
+def delete(idx: SPFreshIndex, vids) -> None:
+    for v in vids:
+        idx.delete(int(v))
 
 
 def cfg(**kw) -> SPFreshConfig:
@@ -95,25 +101,23 @@ class TestSparkEngineRecovery:
         root = str(tmp_path / "idx")
         st = build_index(spark, vecs, np.arange(400), cfg(), root)
         log = RecoveryLog(str(tmp_path / "wal"))
-        st.save_meta()
+        commit(st)
         log.snapshot({"root": root})
         new = clustered_vectors(n=40, dim=8, n_clusters=8, seed=7).astype(np.float64)
         log.log(("insert", np.arange(2000, 2040), new))
-        updater.insert_batch(st, np.arange(2000, 2040), new)
+        insert_batch(st, np.arange(2000, 2040), new)
         log.log(("delete", np.arange(0, 20)))
-        updater.delete_batch(st, np.arange(0, 20))
+        delete(st, np.arange(0, 20))
         qs = clustered_vectors(n=10, dim=8, n_clusters=8, seed=8).astype(np.float64)
         before = sp_search.search_topk(st, qs, k=5).toPandas().sort_values(["qid", "rnk"])
-        # crash: rebuild the store object from disk, replay the WAL
-        from repro.spark_index.store import SparkPostingStore
-
-        st2 = SparkPostingStore.load(spark, root)
+        # crash: load the index from disk, replay the WAL
+        st2 = load_index(spark, root)
         _, records = RecoveryLog(str(tmp_path / "wal")).recover()
         for rec in records:
             if rec[0] == "insert":
-                updater.insert_batch(st2, rec[1], rec[2])
+                insert_batch(st2, rec[1], rec[2])
             else:
-                updater.delete_batch(st2, rec[1])
+                delete(st2, rec[1])
         after = sp_search.search_topk(st2, qs, k=5).toPandas().sort_values(["qid", "rnk"])
         np.testing.assert_array_equal(
             before[["qid", "vid", "rnk"]].to_numpy(), after[["qid", "vid", "rnk"]].to_numpy()
@@ -122,20 +126,18 @@ class TestSparkEngineRecovery:
     def test_replayed_appends_are_idempotent_in_live_view(self, spark, tmp_path):
         """Replaying an insert that already reached Parquet before the
         crash double-appends rows; live_df's (pid, vid) dedupe absorbs it."""
-        from repro.spark_index.store import SparkPostingStore
-
         vecs = clustered_vectors(n=200, dim=8, n_clusters=4, seed=2).astype(np.float64)
         root = str(tmp_path / "idx2")
         st = build_index(spark, vecs, np.arange(200), cfg(), root)
         new = clustered_vectors(n=5, dim=8, n_clusters=4, seed=9).astype(np.float64)
-        updater.insert_batch(st, np.arange(900, 905), new)
+        insert_batch(st, np.arange(900, 905), new)
         # crash before the metadata commit: the reloaded version map lacks
         # 900..904, and replaying the insert appends their rows again
-        st2 = SparkPostingStore.load(spark, root)
-        updater.insert_batch(st2, np.arange(900, 905), new)
-        stored = st2.postings_df().where("vid >= 900").groupBy("pid", "vid").count().toPandas()
+        st2 = load_index(spark, root)
+        insert_batch(st2, np.arange(900, 905), new)
+        stored = st2.controller.postings_df().where("vid >= 900").groupBy("pid", "vid").count().toPandas()
         assert (stored["count"] == 2).all()
-        live = st2.live_df().toPandas()
+        live = live_df(st2).toPandas()
         counts = live.groupby(["pid", "vid"]).size()
         assert (counts == 1).all()
         assert set(live["vid"]) == set(range(200)) | set(range(900, 905))
@@ -145,12 +147,10 @@ class TestSparkEngineRecovery:
         root = str(tmp_path / "idx3")
         st = build_index(spark, vecs, np.arange(300), cfg(), root)
         new = clustered_vectors(n=120, dim=8, n_clusters=4, seed=10).astype(np.float64)
-        updater.insert_batch(st, np.arange(3000, 3120), new)
-        from repro.spark_index.store import SparkPostingStore
-
-        st2 = SparkPostingStore.load(spark, root)  # crash before rebalance
-        updater.insert_batch(st2, np.arange(3000, 3120), new)  # WAL replay
+        insert_batch(st, np.arange(3000, 3120), new)
+        st2 = load_index(spark, root)  # crash before rebalance
+        insert_batch(st2, np.arange(3000, 3120), new)  # WAL replay
         rebalance(st2)
-        assert st2.live_sizes()["n_live"].max() <= st2.config.split_limit
-        live_vids = set(st2.live_df().toPandas()["vid"].unique())
+        assert live_sizes(st2)["n_live"].max() <= st2.config.split_limit
+        live_vids = set(live_df(st2).toPandas()["vid"].unique())
         assert live_vids == set(range(300)) | set(range(3000, 3120))

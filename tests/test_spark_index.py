@@ -6,6 +6,7 @@ SQL on DuckDB over the same input tables via ``repro.oracle``.
 """
 import itertools
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,10 @@ from repro.core.lire import closure_assign
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
 from repro.spark_index import search as sp_search
-from repro.spark_index import updater
-from repro.spark_index.build import build_index
-from repro.spark_index.rebalancer import compact, rebalance
-from repro.spark_index.store import SparkPostingStore
+from repro.spark_index.engine import (
+    build_index, centroids_df, commit, compact, insert_batch, live_df, live_sizes, load_index,
+    rebalance, versions_df,
+)
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
 
@@ -38,23 +39,29 @@ def base_data():
 
 
 @pytest.fixture(scope="module")
-def store(spark, base_data, tmp_path_factory):
+def index(spark, base_data, tmp_path_factory):
     vecs, vids = base_data
     root = str(tmp_path_factory.mktemp("spfresh_idx"))
     return build_index(spark, vecs, vids, small_cfg(), root)
 
 
-def parquet_files(store) -> dict[str, bytes]:
+def delete(idx: SPFreshIndex, vids) -> None:
+    """Tombstone each vid: the core's ``delete``, metadata only."""
+    for v in vids:
+        idx.delete(int(v))
+
+
+def parquet_files(idx: SPFreshIndex) -> dict[str, bytes]:
     """The current dataset generation's Parquet files, by relative path."""
-    root = Path(store.postings_path)
+    root = Path(idx.controller.postings_path)
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.parquet")}
 
 
-def oracle_tables(store, queries=None):
+def oracle_tables(idx, queries=None):
     tables = {
-        "postings": store.postings_df().toPandas(),
-        "versions": store.versions_df().toPandas(),
-        "centroids": store.centroids_df().toPandas(),
+        "postings": idx.controller.postings_df().toPandas(),
+        "versions": versions_df(idx).toPandas(),
+        "centroids": centroids_df(idx).toPandas(),
     }
     if queries is not None:
         tables["queries"] = pd.DataFrame(
@@ -67,21 +74,21 @@ def oracle_tables(store, queries=None):
 
 
 class TestBuild:
-    def test_posting_sizes_bounded(self, store):
-        sizes = store.live_sizes()
-        assert sizes["n_live"].max() <= store.config.split_limit
+    def test_posting_sizes_bounded(self, index):
+        sizes = live_sizes(index)
+        assert sizes["n_live"].max() <= index.config.split_limit
 
-    def test_every_vector_present(self, store, base_data):
+    def test_every_vector_present(self, index, base_data):
         vecs, vids = base_data
-        live = store.live_df().toPandas()
+        live = live_df(index).toPandas()
         assert set(live["vid"].unique()) == set(vids.tolist())
 
-    def test_primary_assignment_is_npa_oracle(self, spark, store, base_data):
+    def test_primary_assignment_is_npa_oracle(self, spark, index, base_data):
         """The nearest-centroid assignment of every stored vector, checked
         against a DuckDB argmin over the same centroid table."""
         vecs, vids = base_data
         spark_primary = sp_search.probe_postings(
-            sp_search.queries_df(store, vecs), store.centroids_df(), nprobe=1
+            sp_search.queries_df(index, vecs), centroids_df(index), nprobe=1
         ).select(F.col("qid").alias("vid"), F.col("pid").alias("primary_pid"))
         sql = """
         SELECT vid, primary_pid FROM (
@@ -93,37 +100,57 @@ class TestBuild:
             FROM queries q CROSS JOIN centroids c
         ) WHERE rnk = 1
         """
-        assert_equivalent(spark_primary, sql, **oracle_tables(store, queries=vecs))
+        assert_equivalent(spark_primary, sql, **oracle_tables(index, queries=vecs))
 
-    def test_primary_posting_holds_vector(self, store, base_data):
+    def test_primary_posting_holds_vector(self, index, base_data):
         vecs, vids = base_data
-        alive = store.centroid_index.alive_ids
-        cents = store.centroid_index.centroids(alive)
+        alive = index.centroid_index.alive_ids
+        cents = index.centroid_index.centroids(alive)
         _, nearest = closure_assign(vecs, cents, max_replicas=1, eps=0.0)
         primary = dict(zip(vids.tolist(), alive[nearest].tolist()))
-        live = store.live_df().toPandas()
+        live = live_df(index).toPandas()
         member = live.groupby("vid")["pid"].apply(set).to_dict()
         assert all(primary[v] in member[v] for v in primary)
 
-    def test_metadata_persisted(self, spark, store):
-        loaded = SparkPostingStore.load(spark, store.root)
-        assert len(loaded.centroid_index) == len(store.centroid_index)
-        assert loaded.version_map.memory_bytes() == store.version_map.memory_bytes()
+    def test_metadata_persisted(self, spark, base_data, tmp_path):
+        """A commit made with jobs queued loads back as the same index, from
+        a copy of its directory: alive pids, posting lengths, version map,
+        jobs and ``_pending``. Draining the loaded and the original index
+        then leaves the same live postings."""
+        vecs, vids = base_data
+        root = tmp_path / "meta"
+        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(root))
+        new = clustered_vectors(n=120, dim=8, n_clusters=8, seed=16).astype(np.float64)
+        insert_batch(st, np.arange(5000, 5120), new)  # past the split limit
+        delete(st, np.arange(0, 30))
+        commit(st)
+        assert st.jobs and st.rebuilder._pending
+        shutil.copytree(root, tmp_path / "copy")
+        loaded = load_index(spark, str(tmp_path / "copy"))
+        np.testing.assert_array_equal(loaded.centroid_index.alive_ids, st.centroid_index.alive_ids)
+        assert loaded.posting_lengths() == st.posting_lengths()
+        for got, want in zip(loaded.version_map.entries(), st.version_map.entries()):
+            np.testing.assert_array_equal(got, want)
+        assert list(loaded.jobs) == list(st.jobs)
+        assert loaded.rebuilder._pending == st.rebuilder._pending
+        rebalance(loaded)
+        rebalance(st)
+        assert live_postings(loaded) == live_postings(st)
 
 
 class TestLiveSemantics:
     def test_tombstoned_vid_excluded(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "t1"))
-        updater.delete_batch(st, np.array([5, 6]))
-        live = st.live_df().toPandas()
+        delete(st, np.array([5, 6]))
+        live = live_df(st).toPandas()
         assert not set(live["vid"]) & {5, 6}
 
     def test_live_df_matches_oracle(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "t2"))
-        updater.delete_batch(st, np.arange(0, 50))
-        spark_live = st.live_df().select("pid", "vid", "version")
+        delete(st, np.arange(0, 50))
+        spark_live = live_df(st).select("pid", "vid", "version")
         sql = """
         SELECT DISTINCT p.pid, p.vid, p.version
         FROM postings p
@@ -137,22 +164,22 @@ class TestLiveSemantics:
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "t3"))
         st.version_map.bump_cas(7, 0)  # simulate a reassign that moved vid 7
-        live = st.live_df().toPandas()
+        live = live_df(st).toPandas()
         assert 7 not in set(live["vid"])  # its on-disk rows are version 0
 
 
 class TestSearch:
-    def test_search_matches_duckdb_twin(self, spark, store):
+    def test_search_matches_duckdb_twin(self, spark, index):
         """Full clustered-search equivalence: Spark plan vs DuckDB SQL."""
         qs = clustered_vectors(n=15, dim=8, n_clusters=8, seed=9).astype(np.float64)
-        got = sp_search.search_topk(store, qs, k=10)
-        sql = sp_search.duckdb_twin_sql(store.config.nprobe, 10)
-        assert_equivalent(got, sql, **oracle_tables(store, queries=qs))
+        got = sp_search.search_topk(index, qs, k=10)
+        sql = sp_search.duckdb_twin_sql(index.config.nprobe, 10)
+        assert_equivalent(got, sql, **oracle_tables(index, queries=qs))
 
-    def test_search_recall(self, store, base_data):
+    def test_search_recall(self, index, base_data):
         vecs, vids = base_data
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
-        res = sp_search.search_results_matrix(store, qs, k=10)
+        res = sp_search.search_results_matrix(index, qs, k=10)
         gt = ground_truth_knn(vecs, qs, 10)
         rec = np.mean([len(np.intersect1d(res[i], gt[i])) / 10 for i in range(20)])
         assert rec >= 0.8
@@ -161,8 +188,8 @@ class TestSearch:
         vecs, vids = base_data
         st = build_index(spark, vecs[:400], vids[:400], small_cfg(), str(tmp_path / "t4"))
         new = clustered_vectors(n=60, dim=8, n_clusters=8, seed=11).astype(np.float64)
-        updater.insert_batch(st, np.arange(1000, 1060), new)
-        updater.delete_batch(st, np.arange(0, 40))
+        insert_batch(st, np.arange(1000, 1060), new)
+        delete(st, np.arange(0, 40))
         rebalance(st)
         qs = clustered_vectors(n=10, dim=8, n_clusters=8, seed=12).astype(np.float64)
         got = sp_search.search_topk(st, qs, k=5)
@@ -173,38 +200,40 @@ class TestSearch:
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "t5"))
         new = clustered_vectors(n=1, dim=8, n_clusters=8, seed=13).astype(np.float64)
-        updater.insert_batch(st, np.array([9999]), new)
+        insert_batch(st, np.array([9999]), new)
         res = sp_search.search_results_matrix(st, new, k=3)
         assert 9999 in res[0]
 
 
 class TestUpdater:
     def test_insert_primary_is_nearest(self, spark, base_data, tmp_path):
+        """Each inserted vector lands in the posting of its nearest centroid."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u1"))
         new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=14).astype(np.float64)
-        primary = updater.insert_batch(st, np.arange(2000, 2020), new)
+        insert_batch(st, np.arange(2000, 2020), new)
         alive = st.centroid_index.alive_ids
         cents = st.centroid_index.centroids(alive)
         _, nearest = closure_assign(new, cents, max_replicas=1, eps=0.0)
-        np.testing.assert_array_equal(primary, alive[nearest])
+        member = live_df(st).toPandas().groupby("vid")["pid"].apply(set).to_dict()
+        assert all(p in member[v] for v, p in zip(range(2000, 2020), alive[nearest].tolist()))
 
     def test_insert_appends_without_rewrite(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u2"))
-        gen, before = st._gen, parquet_files(st)
-        updater.insert_batch(st, np.array([3000]), clustered_vectors(n=1, dim=8, seed=15).astype(np.float64))
-        assert st._gen == gen  # append path never rewrites the dataset
+        gen, before = st.controller._gen, parquet_files(st)
+        insert_batch(st, np.array([3000]), clustered_vectors(n=1, dim=8, seed=15).astype(np.float64))
+        assert st.controller._gen == gen  # append path never rewrites the dataset
         after = parquet_files(st)
         assert {f: after.get(f) for f in before} == before  # every old file kept, byte for byte
-        assert len(after) > len(before)
+        assert len(after) == len(before) + 1  # the batch's one Parquet append
 
     def test_delete_is_metadata_only(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u3"))
-        gen, before = st._gen, parquet_files(st)
-        updater.delete_batch(st, np.arange(0, 20))
-        assert st._gen == gen and parquet_files(st) == before
+        gen, before = st.controller._gen, parquet_files(st)
+        delete(st, np.arange(0, 20))
+        assert st.controller._gen == gen and parquet_files(st) == before
 
     def test_reinserted_vid_is_refused(self, spark, base_data, tmp_path):
         """A vid is registered once. Re-registering deleted vid 7 reset its
@@ -212,15 +241,15 @@ class TestUpdater:
         live again; the whole batch is now refused before any of it lands."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "u4"))
-        updater.delete_batch(st, np.array([7]))
-        gen, before = st._gen, parquet_files(st)
+        delete(st, np.array([7]))
+        gen, before = st.controller._gen, parquet_files(st)
         far = np.vstack([vecs[8], vecs[7] + 100.0])
         with pytest.raises(ValueError):
-            updater.insert_batch(st, np.array([3000, 7]), far)
+            insert_batch(st, np.array([3000, 7]), far)
         with pytest.raises(ValueError):
-            updater.insert_batch(st, np.array([3001, 3001]), far)
+            insert_batch(st, np.array([3001, 3001]), far)
         assert not st.version_map.contains(3000) and not st.version_map.contains(3001)
-        assert st._gen == gen and parquet_files(st) == before
+        assert st.controller._gen == gen and parquet_files(st) == before
         res = sp_search.search_results_matrix(st, vecs[7:8], k=1)
         assert 7 not in res[0]
 
@@ -233,7 +262,7 @@ class TestRebalance:
             spark, vecs, vids, small_cfg(), str(tmp_path_factory.mktemp("rb"))
         )
         new = clustered_vectors(n=250, dim=8, n_clusters=8, seed=16).astype(np.float64)
-        updater.insert_batch(st, np.arange(5000, 5250), new)
+        insert_batch(st, np.arange(5000, 5250), new)
         stats = rebalance(st)
         return st, stats
 
@@ -243,17 +272,17 @@ class TestRebalance:
 
     def test_sizes_bounded_after_rebalance(self, rebalanced):
         st, _ = rebalanced
-        assert st.live_sizes()["n_live"].max() <= st.config.split_limit
+        assert live_sizes(st)["n_live"].max() <= st.config.split_limit
 
     def test_no_vector_lost(self, rebalanced, base_data):
         st, _ = rebalanced
-        live_vids = set(st.live_df().toPandas()["vid"].unique())
+        live_vids = set(live_df(st).toPandas()["vid"].unique())
         assert live_vids == set(range(800)) | set(range(5000, 5250))
 
     def test_npa_mostly_restored(self, rebalanced, base_data):
         st, _ = rebalanced
         vecs, _ = base_data
-        live = st.live_df().toPandas()
+        live = live_df(st).toPandas()
         member = live.groupby("vid")["pid"].apply(set).to_dict()
         alive = st.centroid_index.alive_ids
         cents = st.centroid_index.centroids(alive)
@@ -269,9 +298,9 @@ class TestRebalance:
 
     def test_only_recorded_generation_kept(self, spark, rebalanced):
         st, _ = rebalanced
-        gens = [n for n in os.listdir(st.root) if n.startswith("postings_v")]
-        assert gens == [f"postings_v{st._gen}"]
-        loaded = SparkPostingStore.load(spark, st.root)
+        gens = [n for n in os.listdir(st.controller.root) if n.startswith("postings_v")]
+        assert gens == [f"postings_v{st.controller._gen}"]
+        loaded = load_index(spark, st.controller.root)
         qs = clustered_vectors(n=10, dim=8, n_clusters=8, seed=30).astype(np.float64)
         for a, b in zip(
             sp_search.search_results_matrix(loaded, qs, k=5),
@@ -284,12 +313,12 @@ class TestRebalance:
         vecs, vids = base_data
         st = build_index(spark, vecs[:400], vids[:400], small_cfg(), str(tmp_path / "m1"))
         n0 = len(st.centroid_index)
-        updater.delete_batch(st, np.arange(0, 330))
+        delete(st, np.arange(0, 330))
         sp_search.search_results_matrix(st, vecs[:400:10], k=5)
         stats = rebalance(st)
         assert stats.merges > 0
         assert len(st.centroid_index) < n0
-        live_vids = set(st.live_df().toPandas()["vid"].unique())
+        live_vids = set(live_df(st).toPandas()["vid"].unique())
         assert live_vids == set(range(330, 400))
 
     def test_spann_plus_config_only_compacts(self, spark, base_data, tmp_path):
@@ -298,14 +327,14 @@ class TestRebalance:
             spark, vecs[:400], vids[:400], spann_plus_config(small_cfg()), str(tmp_path / "sp")
         )
         new = clustered_vectors(n=250, dim=8, n_clusters=8, seed=16).astype(np.float64)
-        updater.insert_batch(st, np.arange(5000, 5250), new)
-        updater.delete_batch(st, np.arange(0, 40))
+        insert_batch(st, np.arange(5000, 5250), new)
+        delete(st, np.arange(0, 40))
         n_postings = len(st.centroid_index)
         stats = rebalance(st)
         assert (stats.splits, stats.merges, stats.reassign_moved) == (0, 0, 0)
         assert len(st.centroid_index) == n_postings
-        assert st.live_sizes()["n_live"].max() > st.config.split_limit
-        assert st.postings_df().count() == st.live_df().count()  # stale rows compacted
+        assert live_sizes(st)["n_live"].max() > st.config.split_limit
+        assert st.controller.postings_df().count() == live_df(st).count()  # stale rows compacted
         live = np.arange(40, 400)
         res = sp_search.search_results_matrix(st, np.vstack([vecs[live], new]), k=3)
         for vid, r in zip(np.concatenate([live, np.arange(5000, 5250)]), res):
@@ -314,12 +343,12 @@ class TestRebalance:
     def test_compact_drops_stale_rows(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "c1"))
-        updater.delete_batch(st, np.arange(0, 100))
-        before = st.postings_df().count()
+        delete(st, np.arange(0, 100))
+        before = st.controller.postings_df().count()
         compact(st)
-        after = st.postings_df().count()
+        after = st.controller.postings_df().count()
         assert after < before
-        live_vids = set(st.live_df().toPandas()["vid"].unique())
+        live_vids = set(live_df(st).toPandas()["vid"].unique())
         assert live_vids == set(range(100, 200))
 
 
@@ -345,7 +374,7 @@ class TestCrossEngine:
         core = SPFreshIndex.build(vecs[:400].astype(np.float32), vids[:400], cfg)
         new = clustered_vectors(n=100, dim=8, n_clusters=8, seed=17).astype(np.float64)
         nvids = np.arange(7000, 7100)
-        updater.insert_batch(st, nvids, new)
+        insert_batch(st, nvids, new)
         rebalance(st)
         core.insert_batch(nvids, new)
         core.process_jobs()
@@ -378,11 +407,11 @@ class TestCrossEngine:
         nvids = np.arange(8000, 8000 + n_new)
         core.insert_batch(nvids, new)
         core.process_jobs()
-        updater.insert_batch(st, nvids, new.astype(np.float64))
+        insert_batch(st, nvids, new.astype(np.float64))
         stats = rebalance(st)
         assert core.stats.splits == stats.splits == 1
         assert core.stats.reassign_moved == stats.reassign_moved > 0
-        assert st.live_sizes()["n_live"].max() <= cfg.split_limit  # no cascade pending
+        assert live_sizes(st)["n_live"].max() <= cfg.split_limit  # no cascade pending
         assert live_postings(st) == core_live_postings(core)
 
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=18).astype(np.float32)
@@ -391,7 +420,7 @@ class TestCrossEngine:
             np.testing.assert_array_equal(got, core.search(q, 10)[0])
 
     def test_update_stream_matches_core_engine(self, spark, base_data, tmp_path):
-        """Both engines run one Local Rebuilder over their own posting
+        """Both engines are an ``SPFreshIndex`` over their own posting
         store, so from one build and one update stream they stay equal.
         1,000 vectors are inserted in all, 400 of them by the build. Each
         epoch deletes a posting whole and another one down to one vector,
@@ -433,14 +462,14 @@ class TestCrossEngine:
             core.insert_batch(nvids, new)
             core_ids, _ = core.search_batch(qs, 10)
             core.process_jobs()
-            updater.delete_batch(st, dels)
-            updater.insert_batch(st, nvids, new.astype(np.float64))
+            delete(st, dels)
+            insert_batch(st, nvids, new.astype(np.float64))
             spark_ids = sp_search.search_results_matrix(st, qs, k=10)
             rebalance(st)
 
             np.testing.assert_array_equal(st.centroid_index.alive_ids, core.centroid_index.alive_ids)
             assert live_postings(st) == core_live_postings(core)
-            assert st._lengths == core.posting_lengths()
+            assert st.posting_lengths() == core.posting_lengths()
             assert not core.jobs and not st.rebuilder.jobs
             assert counts(st.stats) == counts(core.stats)
             for got, want in zip(spark_ids, core_ids):
@@ -454,17 +483,17 @@ class TestCrossEngine:
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "x3"))
         pid = int(st.centroid_index.alive_ids[0])
-        held = st.live_df().where(F.col("pid") == pid).toPandas()["vid"]
-        updater.delete_batch(st, held.to_numpy())
+        held = live_df(st).where(F.col("pid") == pid).toPandas()["vid"]
+        delete(st, held.to_numpy())
         sp_search.search_results_matrix(st, st.centroid_index.centroids([pid]), k=5)
         assert ("merge", pid) in st.rebuilder._pending
         assert rebalance(st).merges == 1 and pid not in st.centroid_index
 
 
-def live_postings(st: SparkPostingStore) -> dict[int, list[int]]:
+def live_postings(st: SPFreshIndex) -> dict[int, list[int]]:
     """Every alive posting's live vids, sorted, from the Spark live view."""
     out = {int(p): [] for p in st.centroid_index.alive_ids}
-    for p, g in st.live_df().toPandas().groupby("pid")["vid"]:
+    for p, g in live_df(st).toPandas().groupby("pid")["vid"]:
         out[int(p)] = sorted(g.tolist())
     return out
 
@@ -511,9 +540,44 @@ class TestJobCount:
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j1"))
         with SparkJobs(spark) as counted:
-            st.postings_df().count()
+            st.controller.postings_df().count()
         assert counted.n >= 1
         with SparkJobs(spark) as counted:
             stats = rebalance(st)
         assert counted.n == 0
         assert (stats.splits, stats.merges, stats.gc_rewrites) == (0, 0, 0)
+
+    def test_get_batch_reads_each_posting_once(self, spark, base_data, tmp_path):
+        """A ParallelGET of several requests is one Spark job; each distinct
+        posting is assembled once, in first-seen order, and each request
+        costs 0.0 simulated µs."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j2"))
+        store = st.controller
+        a, b, c = (int(p) for p in st.centroid_index.alive_ids[:3])
+        with SparkJobs(spark) as counted:
+            postings, costs = store.get_batch([[c, a], [a, b, c], []])
+        assert counted.n == 1
+        assert list(postings) == [c, a, b]
+        assert costs == [0.0, 0.0, 0.0]
+        for pid, got in postings.items():
+            want, _ = store.get(pid)
+            assert len(got) == store.length(pid) > 0
+            np.testing.assert_array_equal(got.vids, want.vids)
+            np.testing.assert_array_equal(got.versions, want.versions)
+            np.testing.assert_array_equal(got.vecs, want.vecs)
+
+    def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
+        """An insert batch is one Spark job, its Parquet append. A 20-query
+        search runs its read step once for the batch, not once per
+        8-query slice, then the SQL search: 10 jobs in all."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
+        new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=15).astype(np.float64)
+        with SparkJobs(spark) as counted:
+            insert_batch(st, np.arange(3000, 3020), new)
+        assert counted.n == 1
+        qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
+        with SparkJobs(spark) as counted:
+            sp_search.search_results_matrix(st, qs, k=10)
+        assert counted.n == 10
