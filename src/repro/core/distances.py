@@ -30,18 +30,31 @@ def pairwise_sq_l2(
     *,
     x_norms: np.ndarray | None = None,
     y_norms: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n, d) × (m, d) → (n, m) matrix of squared L2 distances.
+    """(n, d) × (m, d) → (n, m) matrix of squared L2 distances,
+    ``xx + yy - 2·x·yᵀ`` clipped at 0.
 
     ``x_norms`` / ``y_norms`` are the rows' :func:`sq_norms` of float64
     ``x`` / ``y``, for a caller that keeps them between calls; the result
     is the same bit for bit.
+
+    ``out`` and ``work`` are C-contiguous (n, m) float64 buffers, for a
+    caller that forms many blocks of distances and reuses its buffers:
+    the result is formed in ``out`` (and returned) and ``x·yᵀ`` in
+    ``work``. Either one left out is allocated. The operations and their
+    order are the same with or without them, so every entry is the same
+    bit for bit for a given shape of the product.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     xx = (sq_norms(x) if x_norms is None else x_norms)[:, None]
     yy = (sq_norms(y) if y_norms is None else y_norms)[None, :]
-    d = xx + yy - 2.0 * (x @ y.T)
+    d = np.add(xx, yy, out=out)
+    xy = np.matmul(x, y.T, out=work)
+    xy *= 2.0
+    d -= xy
     np.maximum(d, 0.0, out=d)
     return d
 

@@ -53,11 +53,14 @@ import numpy as np
 
 from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_leaves, balanced_two_means, leaf_means
-from repro.core.distances import pairwise_sq_l2
+from repro.core.distances import pairwise_sq_l2, sq_norms
 from repro.core.version_map import VersionMap
 
 if TYPE_CHECKING:
     from repro.core.spfresh import SPFreshConfig
+
+# Entries of one block of closure_assign's distances (2 MiB of float64).
+_CLOSURE_BLOCK = 1 << 18
 
 
 def condition_one(vecs: np.ndarray, old_centroid: np.ndarray, new_centroids: np.ndarray) -> np.ndarray:
@@ -106,17 +109,37 @@ def closure_assign(
     ``(distance, column)`` order, so a tie at the cap goes to the lower
     column. Returns flat ``(rows, cols)`` pairs, row-major
     and nearest column first within a row; every row has at least one.
+    With no row or no centroid, both are empty.
+
+    The distances are formed a block of rows at a time, each block at most
+    ``_CLOSURE_BLOCK`` entries (at least one row), in two buffers that the
+    call allocates once and reuses. Its scratch is O(block × centroids),
+    not O(rows × centroids).
     """
-    d = pairwise_sq_l2(vecs, centroids)
-    if not d.size:
+    x = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
+    n, m = len(x), len(y)
+    if not n or not m:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # The columns within the ratio are a prefix of each row's (distance,
-    # column) order, so the cap ranks only them, not the whole row.
-    rows, cols = np.nonzero(d <= (1.0 + eps) ** 2 * d.min(axis=1, keepdims=True) + 1e-12)
-    order = np.lexsort((d[rows, cols], rows))  # stable: equal distances keep column order
-    rows, cols = rows[order], cols[order]
-    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_replicas
-    return rows[keep], cols[keep]
+    step = max(1, _CLOSURE_BLOCK // m)
+    x_norms, y_norms = sq_norms(x), sq_norms(y)
+    out, work = np.empty((2, min(step, n), m))
+    all_rows, all_cols = [], []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d = pairwise_sq_l2(
+            x[lo:hi], y, x_norms=x_norms[lo:hi], y_norms=y_norms,
+            out=out[: hi - lo], work=work[: hi - lo],
+        )
+        # The columns within the ratio are a prefix of each row's (distance,
+        # column) order, so the cap ranks only them, not the whole row.
+        rows, cols = np.nonzero(d <= (1.0 + eps) ** 2 * d.min(axis=1, keepdims=True) + 1e-12)
+        order = np.lexsort((d[rows, cols], rows))  # stable: equal distances keep column order
+        rows, cols = rows[order], cols[order]
+        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_replicas
+        all_rows.append(rows[keep] + lo)
+        all_cols.append(cols[keep])
+    return np.concatenate(all_rows), np.concatenate(all_cols)
 
 
 def closure_pids(
@@ -151,14 +174,14 @@ def build_layout(
     )
     centroids = leaf_means(x, leaves)
     rows, cols = closure_assign(
-        vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
+        x, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
     )
     rho = len(rows) / max(1, len(vecs))
     if rho > 1.15:
         leaves = balanced_leaves(x, leaves, max_size=max(2, int(config.split_limit * 0.6 / rho)))
         centroids = leaf_means(x, leaves)
         rows, cols = closure_assign(
-            vecs, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
+            x, centroids, max_replicas=config.max_replicas, eps=config.closure_eps
         )
     # A centroid no vector's closure holds would start as an empty posting.
     # Dropping it changes no closure: it ranked below every kept column.

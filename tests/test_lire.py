@@ -8,10 +8,14 @@ no NPA violation escapes the condition filter. The planner's other
 decisions (closure assignment, split, the final NPA check with CAS) are
 checked against a per-row reference and on hand-built cases.
 """
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import lire
 from repro.core.centroid_index import CentroidIndex
 from repro.core.clustering import balanced_two_means
 from repro.core.distances import pairwise_sq_l2
@@ -26,6 +30,7 @@ from repro.core.lire import (
 )
 from repro.core.spfresh import SPFreshConfig
 from repro.core.version_map import VersionMap
+from repro.experiments import default_config
 from repro.synth_data import clustered_vectors
 
 
@@ -208,15 +213,72 @@ def closure_case(draw):
     return vecs, cents, draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 
 
+def closure_one_shot(
+    vecs: np.ndarray, centroids: np.ndarray, *, max_replicas: int = 4, eps: float = 0.1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closure assignment before it was blocked, kept as the reference: the
+    distances of every row to every centroid in one matrix."""
+    d = pairwise_sq_l2(vecs, centroids)
+    if not d.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    rows, cols = np.nonzero(d <= (1.0 + eps) ** 2 * d.min(axis=1, keepdims=True) + 1e-12)
+    order = np.lexsort((d[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_replicas
+    return rows[keep], cols[keep]
+
+
+def check_closure_case(case) -> None:
+    vecs, cents, max_replicas, eps = case
+    rows, cols = closure_assign(vecs, cents, max_replicas=max_replicas, eps=eps)
+    expect = closure_loop(pairwise_sq_l2(vecs, cents), max_replicas, eps)
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(len(vecs)), [len(e) for e in expect]))
+    np.testing.assert_array_equal(cols, np.concatenate(expect))
+
+
 class TestClosureAssign:
     @given(closure_case())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_row_loop(self, case):
-        vecs, cents, max_replicas, eps = case
-        rows, cols = closure_assign(vecs, cents, max_replicas=max_replicas, eps=eps)
-        expect = closure_loop(pairwise_sq_l2(vecs, cents), max_replicas, eps)
-        np.testing.assert_array_equal(rows, np.repeat(np.arange(len(vecs)), [len(e) for e in expect]))
-        np.testing.assert_array_equal(cols, np.concatenate(expect))
+        check_closure_case(case)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @given(case=closure_case())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_of_rows_match_per_row_loop(self, block_rows, case):
+        """Distances formed a few rows at a time give every row the same
+        closure, ties included: the integer, duplicate-centroid cases span
+        several blocks."""
+        with mock.patch.object(lire, "_CLOSURE_BLOCK", block_rows * len(case[1])):
+            check_closure_case(case)
+
+    def test_build_scale_matches_one_shot_reference(self):
+        """Both of a build's closure passes (the second over 388 leaves,
+        so 12 blocks of rows) equal the one-matrix form bit for bit. The
+        blocked GEMM may round an entry one ulp apart from the one-matrix
+        GEMM, so the reference is that form, not the same call."""
+        vecs = clustered_vectors(n=8000, dim=32, seed=0).astype(np.float32)
+        calls = []
+
+        def record(v, c, **kw):
+            calls.append((v, c, kw))
+            return closure_assign(v, c, **kw)
+
+        with mock.patch.object(lire, "closure_assign", record):
+            build_layout(vecs, default_config(32))
+        assert [len(c) for _, c, _ in calls] == [206, 388]
+        assert 8000 > lire._CLOSURE_BLOCK // 388 > 0
+        for v, c, kw in calls:
+            got, want = closure_assign(v, c, **kw), closure_one_shot(v, c, **kw)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("n, m", [(0, 5), (7, 0), (0, 0)])
+    def test_no_rows_or_no_centroids_give_empty_arrays(self, n, m):
+        rng = np.random.default_rng(0)
+        rows, cols = closure_assign(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+        for a in (rows, cols):
+            assert a.dtype == np.int64 and a.shape == (0,)
 
 
 def line_index(*xs: float) -> CentroidIndex:

@@ -1,5 +1,6 @@
 """Integration tests for the SPFresh engine (paper §3.2–§3.4, §4)."""
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.blockstore.controller import Posting
 from repro.core import lire
 from repro.core.distances import pairwise_sq_l2, topk_indices
 from repro.core.spfresh import SEARCH_SLICE, LocalRebuilder, SPFreshConfig, SPFreshIndex
+from repro.experiments import default_config
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
 
@@ -704,3 +706,29 @@ class TestResourceModel:
         idx.process_jobs()
         assert fg > 0 and idx.stats.background_io_us > 0
         assert idx.stats.foreground_io_us == fg  # background work not billed to foreground
+
+
+def traced_peak_mb(fn):
+    """``fn()`` and the MB it allocates at its peak above what was live
+    before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    def test_build_and_batch_insert_stay_within_16_mb_of_scratch(self):
+        """Closure assignment forms its distances a block of rows at a time.
+        Forming all 8k × ~400 at once made each of these peak near 50 MB."""
+        vecs = clustered_vectors(n=16_000, dim=32, seed=0)
+        idx, build_mb = traced_peak_mb(
+            lambda: SPFreshIndex.build(vecs[:8000], np.arange(8000), default_config())
+        )
+        _, insert_mb = traced_peak_mb(
+            lambda: idx.insert_batch(np.arange(8000, 16_000), vecs[8000:])
+        )
+        assert build_mb <= 16 and insert_mb <= 16, (build_mb, insert_mb)
