@@ -9,18 +9,19 @@ of split / merge / reassign jobs — off the foreground critical path, as
 the paper's feed-forward pipeline. Appends that leave a posting over the
 split limit queue a split job; a split job garbage-collects the posting
 and splits it only if it is still over the limit, then queues a reassign
-job. A reassign job fetches the split postings and their neighbours,
-filters stale replicas once over all of them, screens every live row
-with one call of the two LIRE necessary conditions, and uses version-CAS
-to execute the reassignments it plans. The *Searcher* probes the nprobe
-nearest postings via ParallelGET, filters stale replicas, and queues a
-merge job for every probed posting with fewer than ``merge_limit`` live
-tuples. It runs a batch of queries a slice at a time: a read step
-(:meth:`SPFreshIndex.probe`: one navigation GEMM, one batched
-ParallelGET that assembles each posting once, one staleness filter over
-the union and the merge trigger), then one distance GEMM over the
-distinct live vids and one exact top-k in ``(distance, vid)`` order. The
-Spark search runs the same read step once per batch and scans in SQL.
+job. A reassign job fetches the split postings and their neighbours in
+one batched read, filters stale replicas once over all of them, screens
+every live row with one call of the two LIRE necessary conditions, and
+uses version-CAS to execute the reassignments it plans. The *Searcher*
+probes the nprobe nearest postings via ParallelGET, filters stale
+replicas, and queues a merge job for every probed posting with fewer
+than ``merge_limit`` live tuples. It runs a batch of queries a slice at
+a time: a read step (:meth:`SPFreshIndex.probe`: one navigation GEMM,
+one batched ParallelGET that assembles each posting once, one staleness
+filter over the union and the merge trigger), then one distance GEMM
+over the distinct live vids and one exact top-k in ``(distance, vid)``
+order. The Spark search runs the same read step once per batch, then
+scans the postings it probed in SQL.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
@@ -103,9 +104,11 @@ class EngineStats:
 class LocalRebuilder:
     """The Local Rebuilder (§4.2): one FIFO queue of split, merge and
     reassign jobs over a posting store with the Block Controller's posting
-    calls (§4.3): ``exists``, ``length``, ``get``, ``get_many``, ``put``,
+    calls (§4.3): ``exists``, ``length``, ``get``, ``get_batch``, ``put``,
     ``append`` and ``delete``, each returning simulated µs (``get`` and
-    ``get_many`` with the postings).
+    ``get_batch`` with the postings). A split or merge job reads its
+    posting with one ``get``; a reassign job reads the split postings and
+    their neighbours with one ``get_batch`` of two requests.
 
     The Updater calls :meth:`inserted` after appending a vector, which
     queues a split for each of its postings now over the limit; the
@@ -294,11 +297,9 @@ class LocalRebuilder:
         split_alive = [p for p in new_pids if store.exists(p)]
         scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
         nbr = [p for p in scope if store.exists(p)]
-        fetched: dict[int, Posting] = {}
-        for pids in (split_alive, nbr):
-            postings, io = store.get_many(pids)
+        fetched, ios = store.get_batch([split_alive, nbr])
+        for io in ios:  # one at a time, in request order: the same float sums
             self.stats.background_io_us += io
-            fetched.update(postings)
         if not fetched:
             return
         _, live, n_live = self.live_rows(list(fetched.values()))
@@ -393,52 +394,51 @@ class SPFreshIndex:
     # Updater (foreground, paper §4.1)
     # ------------------------------------------------------------------
     def insert(self, vid: int, vec: np.ndarray) -> float:
-        """Insert one vector; returns simulated foreground latency (µs)."""
-        vec = np.asarray(vec, dtype=np.float32)
-        _, pids = lire.closure_pids(self.centroid_index, vec[None, :], self.config)
-        return self._insert(vid, vec, pids)
+        """Insert one vector, a batch of one; returns simulated foreground
+        latency (µs)."""
+        return float(self.insert_batch(np.asarray([vid]), np.asarray(vec)[None, :])[0])
 
     def insert_batch(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """Insert vectors in arrival order; returns per-vector simulated
         latency (µs). One closure assignment navigates the whole batch:
         inserts append only, and only the Local Rebuilder moves centroids.
         Raises ``ValueError``, inserting none of the batch, when a vid is
-        registered already or occurs twice in it."""
+        negative, registered already or occurs twice in it."""
         self.version_map.check_new(vids)
         vecs = np.asarray(vecs, dtype=np.float32)
         if not len(vecs):
             return np.empty(0)
         rows, pids = lire.closure_pids(self.centroid_index, vecs, self.config)
         bounds = np.searchsorted(rows, np.arange(len(vecs) + 1))
-        return np.asarray([
-            self._insert(int(vid), vec, pids[bounds[i] : bounds[i + 1]])
-            for i, (vid, vec) in enumerate(zip(vids, vecs))
-        ])
-
-    def _insert(self, vid: int, vec: np.ndarray, pids: np.ndarray) -> float:
-        """Append one vector to its closure postings ``pids``."""
-        self.version_map.add(vid)
-        self._vecs[vid] = vec
-        tail = Posting(
-            np.asarray([vid], dtype=np.int64),
-            np.zeros(1, dtype=np.int16),
-            vec[None, :],
-        )
-        pids = pids.tolist()
-        io = 0.0
-        for pid in pids:
-            io += self.controller.append(pid, tail)
-        self.rebuilder.inserted(pids)
-        self.stats.foreground_io_us += io
-        return self.latency.insert_us(
-            n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
-        )
+        lats = np.empty(len(vecs))
+        for i, vid in enumerate(np.asarray(vids, dtype=np.int64).tolist()):
+            # append the vector to its closure postings
+            self.version_map.add(vid)
+            self._vecs[vid] = vecs[i]
+            tail = Posting(
+                np.asarray([vid], dtype=np.int64), np.zeros(1, dtype=np.int16), vecs[i : i + 1]
+            )
+            closure = pids[bounds[i] : bounds[i + 1]].tolist()
+            io = 0.0
+            for pid in closure:
+                io += self.controller.append(pid, tail)
+            self.rebuilder.inserted(closure)
+            self.stats.foreground_io_us += io
+            lats[i] = self.latency.insert_us(
+                n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
+            )
+        return lats
 
     def delete(self, vid: int) -> float:
-        """Tombstone a vector (O(1), in-memory only); returns latency µs."""
-        self.version_map.delete(vid)
-        self._vecs.pop(vid, None)
-        self.stats.deletes += 1
+        """Tombstone a vector (O(1), in-memory only); returns latency µs.
+        Deleting a deleted vid changes nothing; a vid never registered
+        raises ``KeyError`` and changes nothing."""
+        if not self.version_map.contains(vid):
+            raise KeyError(f"vid {vid} is not registered")
+        if not self.version_map.is_deleted(vid):
+            self.version_map.delete(vid)
+            self._vecs.pop(vid, None)
+            self.stats.deletes += 1
         return self.latency.base_us
 
     # ------------------------------------------------------------------

@@ -39,8 +39,8 @@ class VersionMap:
         reset its version to 0 and make its old replicas, which hold the old
         vector at that version, live again. Raises ``ValueError`` instead.
         """
-        if self.contains(vid):
-            raise ValueError(f"vid {vid} is already registered")
+        if vid < 0 or self.contains(vid):
+            raise ValueError(f"vid {vid} is negative or already registered")
         self._ensure(vid)
         self._v[vid] = 0
         self._present[vid] = True
@@ -49,13 +49,16 @@ class VersionMap:
 
     def check_new(self, vids: np.ndarray) -> None:
         """Refuse a batch before any of it is registered: raises
-        ``ValueError`` when a vid is registered already or occurs twice."""
+        ``ValueError`` when a vid is negative (numpy would read it as a slot
+        counted from the end), registered already or occurs twice."""
         uniq, n = np.unique(np.asarray(vids, dtype=np.int64), return_counts=True)
-        held = uniq < len(self._present)
+        held = (0 <= uniq) & (uniq < len(self._present))
         held[held] = self._present[uniq[held]]
-        bad = uniq[(n > 1) | held]
+        bad = uniq[(n > 1) | held | (uniq < 0)]
         if len(bad):
-            raise ValueError(f"vids registered already or repeated in the batch: {bad[:10].tolist()}")
+            raise ValueError(
+                f"vids negative, registered already or repeated in the batch: {bad[:10].tolist()}"
+            )
 
     def add_many(self, vids: np.ndarray) -> None:
         """Register a batch of fresh vectors at version 0, all or none: a
@@ -76,7 +79,7 @@ class VersionMap:
 
     # -- queries ----------------------------------------------------------
     def contains(self, vid: int) -> bool:
-        return vid < len(self._present) and bool(self._present[vid])
+        return 0 <= vid < len(self._present) and bool(self._present[vid])
 
     def is_deleted(self, vid: int) -> bool:
         return bool(self._v[vid] & _DELETE_BIT)

@@ -7,15 +7,16 @@ Parquet dataset ``(pid, vid, version, vec)`` on the local filesystem (the
 object-store stand-in), which Spark reads, appends to and compacts. The
 Updater, the Local Rebuilder's job queue and the Searcher's read step are
 the core engine's, run on the driver over that store; the two engines
-differ only in storage and execution. Spark is also the search pipeline:
-batch top-k as a pure DataFrame plan.
+differ only in storage and execution. A search navigates once, on the
+driver, as the core Searcher does; Spark then scans the probed postings
+and ranks the batch's top-k as a DataFrame plan.
 
 Modules: :mod:`store` (the Parquet posting store behind the Block
 Controller's posting calls, holding storage state only), :mod:`engine`
 (build, the insert batch's Parquet append, the metadata commit and load,
 the live view as DataFrames, compaction and ``rebalance``), :mod:`search`
-(batch top-k as a pure DataFrame pipeline with a DuckDB SQL twin for the
-oracle).
+(the driver's probes, then the scan and top-k as a DataFrame plan, with a
+DuckDB SQL twin for the oracle).
 """
 from repro.spark_index.store import SparkPostingStore
 

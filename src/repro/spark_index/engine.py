@@ -10,7 +10,7 @@ is Spark's own:
   by one Parquet append of their rows;
 - the metadata commit (:func:`commit`) and :func:`load_index`;
 - the live view as DataFrames, which read the index's version map and
-  centroids;
+  alive posting ids;
 - :func:`compact` and :func:`rebalance`.
 
 Deletes are the core's ``SPFreshIndex.delete``: tombstones in the version
@@ -101,22 +101,11 @@ def versions_df(idx: SPFreshIndex) -> DataFrame:
     return idx.controller.spark.createDataFrame(pdf, schema=schema)
 
 
-def centroids_df(idx: SPFreshIndex) -> DataFrame:
-    """Alive centroids as (pid, cvec)."""
-    alive = idx.centroid_index.alive_ids
-    pdf = pd.DataFrame(
-        {
-            "pid": alive.astype(np.int64),
-            "cvec": [idx.centroid_index.centroid(int(p)).tolist() for p in alive],
-        }
-    )
-    schema = T.StructType(
-        [
-            T.StructField("pid", T.LongType(), False),
-            T.StructField("cvec", T.ArrayType(T.DoubleType()), False),
-        ]
-    )
-    return idx.controller.spark.createDataFrame(pdf, schema=schema)
+def long_df(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
+    """Equal-length integer arrays as a DataFrame of non-null bigint columns."""
+    pdf = pd.DataFrame({c: np.asarray(v, dtype=np.int64) for c, v in cols.items()})
+    schema = T.StructType([T.StructField(c, T.LongType(), False) for c in cols])
+    return spark.createDataFrame(pdf, schema=schema)
 
 
 def live_df(idx: SPFreshIndex) -> DataFrame:
@@ -124,10 +113,11 @@ def live_df(idx: SPFreshIndex) -> DataFrame:
     posting still exists (split/merged-away pids are filtered by the
     alive-pid join, the dataset analog of ``controller.delete``). One
     row per (pid, vid) — the Spark twin of ``LocalRebuilder.live``."""
+    store = idx.controller
     joined = (
-        idx.controller.postings_df()
+        store.postings_df()
         .join(versions_df(idx), on="vid", how="inner")
-        .join(centroids_df(idx).select("pid"), on="pid", how="inner")
+        .join(long_df(store.spark, pid=idx.centroid_index.alive_ids), on="pid", how="inner")
         .where((F.col("version") == F.col("cur_version")) & (~F.col("deleted")))
         .select("pid", "vid", "version", "vec")
     )

@@ -1,24 +1,25 @@
-"""Batch KNN search as a pure DataFrame pipeline (paper §3.1).
-
-The clustered-search plan, expressed entirely in Spark SQL relational
-operators so the DuckDB oracle can run a line-for-line SQL twin:
-
-1. probe selection — queries × centroids, squared-L2 via a Spark SQL
-   ``aggregate(zip_with(...))`` expression, ``row_number`` over
-   ``(distance, pid)`` per query, keep ``nprobe``;
-2. posting scan — join probes with live posting rows on ``pid``;
-3. replica dedupe — min distance per ``(qid, vid)``;
-4. final top-k — ``row_number`` over ``(distance, vid)`` per query.
+"""Batch KNN search: navigation on the driver, the scan as a DataFrame plan
+(paper §3.1).
 
 A search first runs the core Searcher's read step
-(``SPFreshIndex.probe``) once for the whole batch, which queues a merge
-job for each probed posting with fewer than ``merge_limit`` live rows; the
-driver picks and counts those postings, so the job schedule never depends
-on SQL float rounding.
+(``SPFreshIndex.probe``) once for the whole batch, on the driver: one
+navigation GEMM over the in-memory centroid index picks each query's
+``nprobe`` postings, as the paper's SPTAG index does, and the read of
+those postings queues a merge job for each one with fewer than
+``merge_limit`` live rows. The probed ``(qid, pid)`` pairs then go to
+Spark, whose plan is three relational steps:
 
-``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the same four
-relations so ``repro.oracle.assert_equivalent`` catches any divergence
-in the Spark plan (wrong join, wrong dedupe, wrong ranking).
+1. posting scan — join the probes with live posting rows on ``pid``;
+2. replica dedupe — min distance per ``(qid, vid)``;
+3. final top-k — ``row_number`` over ``(distance, vid)`` per query.
+
+The merge trigger and the scan therefore see the same postings.
+
+``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the relations
+the search reads, with the navigation done in SQL, so
+``repro.oracle.assert_equivalent`` catches any divergence in the driver's
+navigation or in the Spark plan (wrong probes, wrong join, wrong dedupe,
+wrong ranking).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.spfresh import SPFreshIndex
-from repro.spark_index.engine import centroids_df, live_df
+from repro.spark_index.engine import live_df, long_df
 
 # squared L2 between two array<double> columns, in pure Spark SQL
 SQ_L2 = (
@@ -54,27 +55,14 @@ def queries_df(idx: SPFreshIndex, queries: np.ndarray) -> DataFrame:
     return idx.controller.spark.createDataFrame(pdf, schema=schema)
 
 
-def probe_postings(q_df: DataFrame, centroids: DataFrame, nprobe: int) -> DataFrame:
-    """Per query, the ``nprobe`` nearest posting ids: (qid, pid)."""
-    d = F.expr(SQ_L2.format(a="qvec", b="cvec")).alias("cd")
-    ranked = (
-        q_df.crossJoin(centroids)
-        .select("qid", "pid", d)
-        .withColumn(
-            "rnk", F.row_number().over(Window.partitionBy("qid").orderBy("cd", "pid"))
-        )
-    )
-    return ranked.where(F.col("rnk") <= nprobe).select("qid", "pid")
-
-
 def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
-    Its read step queues merges for undersized probed postings; SPANN+
-    queues none, so it skips the read."""
-    if idx.config.rebalance:
-        idx.probe(np.asarray(queries, dtype=np.float64))
+    The driver's read step picks each query's postings and queues merges
+    for the undersized ones (SPANN+ queues none); the plan scans those."""
+    probed = idx.probe(np.asarray(queries, dtype=np.float64))[0]
+    qids = np.repeat(np.arange(len(probed)), probed.shape[1])
+    probes = long_df(idx.controller.spark, qid=qids, pid=probed.ravel())
     q_df = queries_df(idx, queries)
-    probes = probe_postings(q_df, centroids_df(idx), idx.config.nprobe)
     live = live_df(idx)
     cand = (
         probes.join(live, on="pid")

@@ -11,7 +11,7 @@ Updater, Local Rebuilder and Searcher read step run over it unchanged;
 each call returns 0 simulated µs:
 
 - ``get_batch`` reads the distinct postings of a batch of requests in one
-  Spark job; ``get`` and ``get_many`` are its one-request cases;
+  Spark job; ``get`` is its one-posting case;
 - ``append`` buffers rows; :meth:`SparkPostingStore.flush` writes the
   buffer as one Parquet append, before the next read of the dataset, at
   the end of an insert batch and before a metadata commit;
@@ -113,10 +113,6 @@ class SparkPostingStore:
     def get(self, pid: int) -> tuple[Posting, float]:
         postings, (cost,) = self.get_batch([[pid]])
         return postings[pid], cost
-
-    def get_many(self, pids: list[int]) -> tuple[dict[int, Posting], float]:
-        postings, (cost,) = self.get_batch([pids])
-        return postings, cost
 
     def get_batch(self, requests: list[list[int]]) -> tuple[dict[int, Posting], list[float]]:
         """Every row of the requested postings, read in one Spark job.

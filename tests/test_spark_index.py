@@ -1,8 +1,10 @@
 """Spark dataflow SPFresh tests, oracle-checked against DuckDB.
 
-Every relational claim of the Spark pipeline (probe selection, live-row
-semantics, full clustered search) is verified by running the equivalent
-SQL on DuckDB over the same input tables via ``repro.oracle``.
+Every relational claim of the Spark engine (the driver's probe selection,
+live-row semantics, full clustered search) is verified by running the
+equivalent SQL on DuckDB over the same input tables via ``repro.oracle``.
+DuckDB navigates in SQL over the centroid table, taken from the index's
+centroid index, so the search twins also check the driver's navigation.
 """
 import itertools
 import os
@@ -20,8 +22,8 @@ from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
 from repro.spark_index import search as sp_search
 from repro.spark_index.engine import (
-    build_index, centroids_df, commit, compact, insert_batch, live_df, live_sizes, load_index,
-    rebalance, versions_df,
+    build_index, commit, compact, insert_batch, live_df, live_sizes, load_index, rebalance,
+    versions_df,
 )
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
@@ -58,10 +60,13 @@ def parquet_files(idx: SPFreshIndex) -> dict[str, bytes]:
 
 
 def oracle_tables(idx, queries=None):
+    alive = idx.centroid_index.alive_ids
     tables = {
         "postings": idx.controller.postings_df().toPandas(),
         "versions": versions_df(idx).toPandas(),
-        "centroids": centroids_df(idx).toPandas(),
+        "centroids": pd.DataFrame(
+            {"pid": alive, "cvec": idx.centroid_index.centroids(alive).tolist()}
+        ),
     }
     if queries is not None:
         tables["queries"] = pd.DataFrame(
@@ -84,12 +89,14 @@ class TestBuild:
         assert set(live["vid"].unique()) == set(vids.tolist())
 
     def test_primary_assignment_is_npa_oracle(self, spark, index, base_data):
-        """The nearest-centroid assignment of every stored vector, checked
-        against a DuckDB argmin over the same centroid table."""
+        """The driver's navigation of every stored vector to its nearest
+        centroid, checked against a DuckDB argmin over the same centroid
+        table."""
         vecs, vids = base_data
-        spark_primary = sp_search.probe_postings(
-            sp_search.queries_df(index, vecs), centroids_df(index), nprobe=1
-        ).select(F.col("qid").alias("vid"), F.col("pid").alias("primary_pid"))
+        nearest = index.centroid_index.search_batch(vecs, 1)[:, 0]
+        spark_primary = spark.createDataFrame(
+            pd.DataFrame({"vid": np.arange(len(vecs)), "primary_pid": nearest})
+        )
         sql = """
         SELECT vid, primary_pid FROM (
             SELECT q.qid AS vid, c.pid AS primary_pid,
@@ -570,7 +577,8 @@ class TestJobCount:
     def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
         """An insert batch is one Spark job, its Parquet append. A 20-query
         search runs its read step once for the batch, not once per
-        8-query slice, then the SQL search: 10 jobs in all."""
+        8-query slice, then the SQL scan of the postings it probed: 9 jobs
+        in all."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
         new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=15).astype(np.float64)
@@ -580,4 +588,4 @@ class TestJobCount:
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
         with SparkJobs(spark) as counted:
             sp_search.search_results_matrix(st, qs, k=10)
-        assert counted.n == 10
+        assert counted.n == 9

@@ -341,6 +341,52 @@ class TestBatchedInsert:
         assert len(idx.insert_batch(np.empty(0, np.int64), np.empty((0, 8)))) == 0
 
 
+class TestVidChecks:
+    """The Updater changes only the vids it holds: numpy reads a negative
+    vid as a version-map slot counted from the end, another vid's."""
+
+    def test_delete_of_negative_vid_raises(self):
+        vecs = clustered_vectors(n=2048, dim=8, n_clusters=4, seed=57)
+        idx = SPFreshIndex.build(vecs, np.arange(2048), small_config(dim=8))
+        with pytest.raises(KeyError):
+            idx.delete(-1)
+        assert not idx.version_map.is_deleted(2047) and idx.stats.deletes == 0
+        assert 2047 in idx.search(vecs[2047], 5)[0]
+
+    def test_insert_of_negative_vid_is_refused(self):
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=58)
+        idx = SPFreshIndex.build(vecs, np.arange(300), small_config(dim=8))
+        new = clustered_vectors(n=2, dim=8, n_clusters=4, seed=59)
+        before = copy.deepcopy(idx.stats), idx.ssd.counters.snapshot()
+        with pytest.raises(ValueError):
+            idx.insert_batch(np.array([-5]), new[:1])
+        with pytest.raises(ValueError):
+            idx.insert(-5, new[0])
+        assert (idx.stats, idx.ssd.counters) == before
+        idx.insert(1019, new[1])  # -5 is slot 1019 of the 1024-slot map
+        assert 1019 in idx.search(new[1], 3)[0]
+
+    @pytest.mark.parametrize("vid", [300, 5000])
+    def test_delete_of_unregistered_vid_raises(self, vid):
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=60)
+        idx = SPFreshIndex.build(vecs, np.arange(300), small_config(dim=8))
+        entries = idx.version_map.entries()
+        with pytest.raises(KeyError):
+            idx.delete(vid)
+        assert idx.stats.deletes == 0
+        for got, want in zip(idx.version_map.entries(), entries):
+            np.testing.assert_array_equal(got, want)
+
+    def test_second_delete_changes_nothing(self):
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=61)
+        idx = SPFreshIndex.build(vecs, np.arange(300), small_config(dim=8))
+        idx.delete(7)
+        before = copy.deepcopy(idx.stats)
+        idx.delete(7)
+        assert idx.stats == before and idx.stats.deletes == 1
+        assert idx.version_map.is_deleted(7)
+
+
 class TestSplit:
     def test_split_triggered_and_bounded(self):
         vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=5)
@@ -431,6 +477,30 @@ class TestReassign:
         s = idx.stats
         assert s.reassign_jobs > 0
         assert s.reassign_evaluated >= s.reassign_moved
+
+    def test_one_store_read_per_reassign_job(self):
+        """A reassign job reads the split postings and their neighbours
+        with one ``get_batch`` of two requests."""
+        vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=16)
+        idx = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8))
+        idx.insert_batch(np.arange(500, 800), clustered_vectors(n=300, dim=8, n_clusters=4, seed=17))
+        store, reads = idx.controller, []
+        get_batch = store.get_batch
+
+        def counted(requests):
+            reads.append(len(requests))
+            return get_batch(requests)
+
+        store.get_batch = counted
+        reassigns = 0
+        while idx.jobs:
+            kind = idx.jobs[0][0]
+            reads.clear()
+            idx.process_jobs(max_jobs=1)
+            if kind == "reassign":
+                assert reads == [2]
+                reassigns += 1
+        assert reassigns > 0
 
     def test_reassign_disabled_flag(self):
         cfg = small_config(dim=8, reassign=False)

@@ -41,13 +41,23 @@ class TestLifecycle:
             np.testing.assert_array_equal(got, want)
         assert many.memory_bytes() == one.memory_bytes() == 301
 
-    @pytest.mark.parametrize("batch", [[4, 5, 1], [4, 5, 4]])
+    @pytest.mark.parametrize("batch", [[4, 5, 1], [4, 5, 4], [4, 5, -1]])
     def test_add_many_refuses_the_whole_batch(self, batch):
         vm = VersionMap()
         vm.add(1)
         with pytest.raises(ValueError):
             vm.add_many(np.array(batch))
         assert not vm.contains(4) and not vm.contains(5)
+
+    def test_negative_vid_is_neither_held_nor_added(self):
+        """numpy reads vid -1 as the last slot, here vid 3's."""
+        vm = VersionMap(capacity=4)
+        vm.add(3)
+        assert not vm.contains(-1)
+        with pytest.raises(ValueError):
+            vm.add(-1)
+        with pytest.raises(ValueError):
+            vm.check_new(np.array([-1]))
 
     def test_delete_sets_tombstone(self):
         vm = VersionMap()
