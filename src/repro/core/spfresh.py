@@ -403,9 +403,12 @@ class SPFreshIndex:
         latency (µs). One closure assignment navigates the whole batch:
         inserts append only, and only the Local Rebuilder moves centroids.
         Raises ``ValueError``, inserting none of the batch, when a vid is
-        negative, registered already or occurs twice in it."""
+        negative, registered already or occurs twice in it, or when
+        ``vecs`` is not ``len(vids)`` rows of ``config.dim`` values."""
         self.version_map.check_new(vids)
         vecs = np.asarray(vecs, dtype=np.float32)
+        if vecs.shape != (len(vids), self.config.dim):
+            raise ValueError(f"vecs of shape {vecs.shape}, not ({len(vids)}, {self.config.dim})")
         if not len(vecs):
             return np.empty(0)
         rows, pids = lire.closure_pids(self.centroid_index, vecs, self.config)

@@ -4,7 +4,8 @@ This package is the scale-out implementation of the LIRE protocol mapped
 onto a datalake layout (DESIGN.md §3). The Spark engine is a
 :class:`~repro.core.spfresh.SPFreshIndex` whose posting store is a
 Parquet dataset ``(pid, vid, version, vec)`` on the local filesystem (the
-object-store stand-in), which Spark reads, appends to and compacts. The
+object-store stand-in), which the driver reads and appends to with Arrow
+(no posting call is a Spark job) and Spark scans and compacts. The
 Updater, the Local Rebuilder's job queue and the Searcher's read step are
 the core engine's, run on the driver over that store; the two engines
 differ only in storage and execution. A search navigates once, on the
@@ -13,7 +14,7 @@ and ranks the batch's top-k as a DataFrame plan.
 
 Modules: :mod:`store` (the Parquet posting store behind the Block
 Controller's posting calls, holding storage state only), :mod:`engine`
-(build, the insert batch's Parquet append, the metadata commit and load,
+(build, the insert batch's Parquet file, the metadata commit and load,
 the live view as DataFrames, compaction and ``rebalance``), :mod:`search`
 (the driver's probes, then the scan and top-k as a DataFrame plan, with a
 DuckDB SQL twin for the oracle).

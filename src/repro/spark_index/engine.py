@@ -7,11 +7,11 @@ index, version map and Block Mapping over its disk. This module holds what
 is Spark's own:
 
 - :func:`build_index` and :func:`insert_batch`, the core's calls followed
-  by one Parquet append of their rows;
+  by one Parquet file of their rows, written with Arrow on the driver;
 - the metadata commit (:func:`commit`) and :func:`load_index`;
 - the live view as DataFrames, which read the index's version map and
   alive posting ids;
-- :func:`compact` and :func:`rebalance`.
+- :func:`compact`, a Spark rewrite, and :func:`rebalance`.
 
 Deletes are the core's ``SPFreshIndex.delete``: tombstones in the version
 map, with no Parquet write (rows go at the next compaction).
@@ -27,26 +27,26 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.spfresh import EngineStats, SPFreshConfig, SPFreshIndex
-from repro.spark_index.store import SparkPostingStore
+from repro.spark_index.store import SparkPostingStore, arrow_table
 
 
 def build_index(
     spark: SparkSession, vecs: np.ndarray, vids: np.ndarray, config: SPFreshConfig, root: str
 ) -> SPFreshIndex:
     """Build a balanced index (paper §3.1) into a fresh Parquet store under
-    ``root``, then commit it: its rows are the build's one Parquet append."""
+    ``root``, then commit it: its rows are the build's one Parquet file."""
     idx = SPFreshIndex.build(vecs, vids, config, SparkPostingStore(spark, root, config.dim))
     commit(idx)
     return idx
 
 
 def insert_batch(idx: SPFreshIndex, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The core Updater's ``insert_batch``, then the batch's rows as one
-    Parquet append: no existing file is rewritten, as the Block
-    Controller's appends rewrite no full block."""
+    """The core Updater's ``insert_batch``, then the batch's rows as one new
+    Parquet file, written with Arrow: no existing file is rewritten, as the
+    Block Controller's appends rewrite no full block, and no Spark job
+    runs. A batch the Updater refuses appends nothing."""
     lats = idx.insert_batch(vids, vecs)
     idx.controller.flush()
     return lats
@@ -84,28 +84,10 @@ def load_index(spark: SparkSession, root: str) -> SPFreshIndex:
 def versions_df(idx: SPFreshIndex) -> DataFrame:
     """Version map as (vid, cur_version, deleted) for live-row joins."""
     vids, versions, deleted = idx.version_map.entries()
-    pdf = pd.DataFrame(
-        {
-            "vid": vids.astype(np.int64),
-            "cur_version": versions.astype(np.int32),
-            "deleted": deleted,
-        }
+    table = arrow_table(
+        vid=vids.astype(np.int64), cur_version=versions.astype(np.int32), deleted=deleted
     )
-    schema = T.StructType(
-        [
-            T.StructField("vid", T.LongType(), False),
-            T.StructField("cur_version", T.IntegerType(), False),
-            T.StructField("deleted", T.BooleanType(), False),
-        ]
-    )
-    return idx.controller.spark.createDataFrame(pdf, schema=schema)
-
-
-def long_df(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
-    """Equal-length integer arrays as a DataFrame of non-null bigint columns."""
-    pdf = pd.DataFrame({c: np.asarray(v, dtype=np.int64) for c, v in cols.items()})
-    schema = T.StructType([T.StructField(c, T.LongType(), False) for c in cols])
-    return spark.createDataFrame(pdf, schema=schema)
+    return idx.controller.spark.createDataFrame(table)
 
 
 def live_df(idx: SPFreshIndex) -> DataFrame:
@@ -114,10 +96,11 @@ def live_df(idx: SPFreshIndex) -> DataFrame:
     alive-pid join, the dataset analog of ``controller.delete``). One
     row per (pid, vid) — the Spark twin of ``LocalRebuilder.live``."""
     store = idx.controller
+    alive = store.spark.createDataFrame(arrow_table(pid=idx.centroid_index.alive_ids))
     joined = (
         store.postings_df()
         .join(versions_df(idx), on="vid", how="inner")
-        .join(long_df(store.spark, pid=idx.centroid_index.alive_ids), on="pid", how="inner")
+        .join(alive, on="pid", how="inner")
         .where((F.col("version") == F.col("cur_version")) & (~F.col("deleted")))
         .select("pid", "vid", "version", "vec")
     )

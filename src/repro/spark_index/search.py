@@ -5,9 +5,10 @@ A search first runs the core Searcher's read step
 (``SPFreshIndex.probe``) once for the whole batch, on the driver: one
 navigation GEMM over the in-memory centroid index picks each query's
 ``nprobe`` postings, as the paper's SPTAG index does, and the read of
-those postings queues a merge job for each one with fewer than
-``merge_limit`` live rows. The probed ``(qid, pid)`` pairs then go to
-Spark, whose plan is three relational steps:
+those postings, one Arrow read with no Spark job, queues a merge job for
+each one with fewer than ``merge_limit`` live rows. The probed
+``(qid, pid)`` pairs and the queries then go to Spark as Arrow tables,
+and its plan is three relational steps:
 
 1. posting scan — join the probes with live posting rows on ``pid``;
 2. replica dedupe — min distance per ``(qid, vid)``;
@@ -24,13 +25,12 @@ wrong ranking).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.spfresh import SPFreshIndex
-from repro.spark_index.engine import live_df, long_df
+from repro.spark_index.engine import live_df
+from repro.spark_index.store import arrow_table
 
 # squared L2 between two array<double> columns, in pure Spark SQL
 SQ_L2 = (
@@ -39,30 +39,17 @@ SQ_L2 = (
 )
 
 
-def queries_df(idx: SPFreshIndex, queries: np.ndarray) -> DataFrame:
-    pdf = pd.DataFrame(
-        {
-            "qid": np.arange(len(queries), dtype=np.int64),
-            "qvec": [np.asarray(q, dtype=np.float64).tolist() for q in queries],
-        }
-    )
-    schema = T.StructType(
-        [
-            T.StructField("qid", T.LongType(), False),
-            T.StructField("qvec", T.ArrayType(T.DoubleType()), False),
-        ]
-    )
-    return idx.controller.spark.createDataFrame(pdf, schema=schema)
-
-
 def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
     The driver's read step picks each query's postings and queues merges
     for the undersized ones (SPANN+ queues none); the plan scans those."""
-    probed = idx.probe(np.asarray(queries, dtype=np.float64))[0]
-    qids = np.repeat(np.arange(len(probed)), probed.shape[1])
-    probes = long_df(idx.controller.spark, qid=qids, pid=probed.ravel())
-    q_df = queries_df(idx, queries)
+    queries = np.asarray(queries, dtype=np.float64)
+    probed = idx.probe(queries)[0]
+    qids = np.arange(len(queries), dtype=np.int64)
+    probes = idx.controller.spark.createDataFrame(
+        arrow_table(qid=np.repeat(qids, probed.shape[1]), pid=probed.ravel())
+    )
+    q_df = idx.controller.spark.createDataFrame(arrow_table(qid=qids, qvec=queries))
     live = live_df(idx)
     cand = (
         probes.join(live, on="pid")

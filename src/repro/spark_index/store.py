@@ -11,29 +11,33 @@ Updater, Local Rebuilder and Searcher read step run over it unchanged;
 each call returns 0 simulated µs:
 
 - ``get_batch`` reads the distinct postings of a batch of requests in one
-  Spark job; ``get`` is its one-posting case;
+  Arrow read of the dataset on the driver, with no Spark job; ``get`` is
+  its one-posting case;
 - ``append`` buffers rows; :meth:`SparkPostingStore.flush` writes the
-  buffer as one Parquet append, before the next read of the dataset, at
-  the end of an insert batch and before a metadata commit;
+  buffer as one Parquet file with Arrow, before the next read of the
+  dataset, at the end of an insert batch and before a metadata commit;
 - ``put`` is an append plus a length reset. The rebuilder puts only a
   posting's own live rows (GC) or a fresh pid (split), so the rows a put
   replaces are stale or duplicates: the live view drops them, and
   compaction deletes them;
 - ``delete`` drops the length; the pid's rows die with its centroid.
 
-Compaction writes the live rows as a new dataset generation, a
-``postings_v{n}`` dir, and leaves the old one untouched (copy-on-write at
-dataset granularity). It changes no length: it is storage GC, which the
-schedule never sees.
+Compaction, a Spark job, writes the live rows as a new dataset
+generation, a ``postings_v{n}`` dir, and leaves the old one untouched
+(copy-on-write at dataset granularity). It changes no length: it is
+storage GC, which the schedule never sees. A generation thus mixes files
+of both writers; both readers skip Spark's ``_SUCCESS`` and ``.crc`` files.
 """
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.blockstore.controller import Posting
@@ -46,6 +50,19 @@ POSTING_SCHEMA = T.StructType(
         T.StructField("vec", T.ArrayType(T.DoubleType()), False),
     ]
 )
+
+
+def arrow_table(**cols: np.ndarray) -> pa.Table:
+    """Equal-length numpy columns as one Arrow table, for a Parquet file or
+    ``spark.createDataFrame``: a 1-D column keeps its dtype, a 2-D one
+    becomes a list of doubles per row (Spark's ``array<double>``)."""
+
+    def column(a: np.ndarray) -> pa.Array:
+        if a.ndim == 1:
+            return pa.array(a)
+        return pa.FixedSizeListArray.from_arrays(a.astype(np.float64).ravel(), a.shape[1])
+
+    return pa.table({name: column(np.asarray(a)) for name, a in cols.items()})
 
 
 class SparkPostingStore:
@@ -77,23 +94,27 @@ class SparkPostingStore:
         df.write.mode("overwrite").parquet(self.postings_path)
 
     def flush(self) -> None:
-        """Write the buffered appends as one Parquet append (files only added)."""
+        """Write the buffered appends with Arrow as one new Parquet file,
+        named by a fresh uuid so no reload reuses a name; it is written
+        hidden, which both readers skip, then renamed, so a crash leaves no
+        partial file."""
         parts = [(pid, p) for pid, p in self._buffer if len(p)]
         self._buffer = []
         if not parts:
             return
         rows = Posting.concat([p for _, p in parts])
         pids = np.repeat([pid for pid, _ in parts], [len(p) for _, p in parts])
-        pdf = pd.DataFrame(
-            {
-                "pid": pids.astype(np.int64),
-                "vid": rows.vids.astype(np.int64),
-                "version": rows.versions.astype(np.int32),
-                "vec": [v.tolist() for v in rows.vecs.astype(np.float64)],
-            }
+        table = arrow_table(
+            pid=pids.astype(np.int64),
+            vid=rows.vids.astype(np.int64),
+            version=rows.versions.astype(np.int32),
+            vec=rows.vecs,
         )
-        df = self.spark.createDataFrame(pdf, schema=POSTING_SCHEMA).coalesce(1)
-        df.write.mode("append").parquet(self.postings_path)
+        os.makedirs(self.postings_path, exist_ok=True)
+        name = f"{uuid.uuid4().hex}.parquet"
+        tmp = os.path.join(self.postings_path, "." + name)
+        pq.write_table(table, tmp)
+        os.replace(tmp, os.path.join(self.postings_path, name))
 
     def postings_df(self) -> DataFrame:
         self.flush()
@@ -115,19 +136,20 @@ class SparkPostingStore:
         return postings[pid], cost
 
     def get_batch(self, requests: list[list[int]]) -> tuple[dict[int, Posting], list[float]]:
-        """Every row of the requested postings, read in one Spark job.
-        Each distinct posting is assembled once; returns the postings in
-        first-seen order and 0.0 µs per request."""
+        """Every row of the requested postings, in one Arrow read of the
+        dataset on the driver (no Spark job). Each distinct posting is
+        assembled once; returns the postings in first-seen order and 0.0 µs
+        per request."""
         pids = list(dict.fromkeys(pid for r in requests for pid in r))
         costs = [0.0] * len(requests)
         if not pids:
             return {}, costs
-        pdf = self.postings_df().where(F.col("pid").isin(pids)).toPandas()
-        pdf = pdf.sort_values("pid", kind="stable")
-        at = pdf["pid"].to_numpy()
-        vids = pdf["vid"].to_numpy(np.int64)
-        versions = pdf["version"].to_numpy().astype(np.int16)
-        vecs = np.stack(pdf["vec"].to_numpy()) if len(pdf) else np.empty((0, self.dim))
+        self.flush()
+        table = pq.read_table(self.postings_path, filters=[("pid", "in", pids)]).sort_by("pid")
+        at = table["pid"].to_numpy()
+        vids = table["vid"].to_numpy()
+        versions = table["version"].to_numpy().astype(np.int16)
+        vecs = pc.list_flatten(table["vec"]).to_numpy().reshape(-1, self.dim)
         lo, hi = np.searchsorted(at, pids), np.searchsorted(at, pids, side="right")
         return {
             pid: Posting(vids[a:b], versions[a:b], vecs[a:b])

@@ -96,12 +96,12 @@ class TestF12:
 
 
 class TestImportHygiene:
-    def test_core_modules_import_neither_pandas_nor_pyspark(self):
+    def test_core_modules_import_none_of_pandas_pyspark_pyarrow(self):
         # pandas (with pyarrow) costs a core-only process about 0.4 s to import
         code = (
             "import sys\n"
             "import repro.experiments, repro.harness, repro.core.spfresh\n"
-            "print(sorted(m for m in ('pandas', 'pyspark') if m in sys.modules))\n"
+            "print(sorted(m for m in ('pandas', 'pyspark', 'pyarrow') if m in sys.modules))\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

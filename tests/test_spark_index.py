@@ -9,6 +9,7 @@ centroid index, so the search twins also check the driver's navigation.
 import itertools
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,34 @@ class TestUpdater:
         after = parquet_files(st)
         assert {f: after.get(f) for f in before} == before  # every old file kept, byte for byte
         assert len(after) == len(before) + 1  # the batch's one Parquet append
+
+    def test_get_batch_reads_both_writers_of_a_generation(self, spark, base_data, tmp_path):
+        """After a compaction (Spark writes the generation) and an insert
+        batch (Arrow appends to it), ``get_batch`` reads the rows that
+        Spark reads, and skips Spark's ``_SUCCESS`` and ``.crc`` files."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "w"))
+        delete(st, np.arange(0, 30))
+        compact(st)
+        new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=20).astype(np.float64)
+        insert_batch(st, np.arange(4000, 4020), new)
+        store = st.controller
+        names = os.listdir(store.postings_path)
+        assert "_SUCCESS" in names and any(n.endswith(".crc") for n in names)
+        written = [n for n in names if n.endswith(".parquet")]
+        assert any(n.startswith("part-") for n in written)  # Spark's
+        assert any(not n.startswith("part-") for n in written)  # Arrow's
+        pids = [int(p) for p in st.centroid_index.alive_ids]
+        postings, _ = store.get_batch([pids])
+        got = Counter(
+            (pid, v, ver, tuple(x))
+            for pid, p in postings.items()
+            for v, ver, x in zip(p.vids.tolist(), p.versions.tolist(), p.vecs.tolist())
+        )
+        rows = store.postings_df().where(F.col("pid").isin(pids)).collect()
+        assert got == Counter((r.pid, r.vid, r.version, tuple(r.vec)) for r in rows)
+        assert {4000, 4019, 30, 299} <= {v for _, v, _, _ in got}
+        assert all(p.vecs.shape == (len(p), 8) for p in postings.values())
 
     def test_delete_is_metadata_only(self, spark, base_data, tmp_path):
         vecs, vids = base_data
@@ -555,16 +584,16 @@ class TestJobCount:
         assert (stats.splits, stats.merges, stats.gc_rewrites) == (0, 0, 0)
 
     def test_get_batch_reads_each_posting_once(self, spark, base_data, tmp_path):
-        """A ParallelGET of several requests is one Spark job; each distinct
-        posting is assembled once, in first-seen order, and each request
-        costs 0.0 simulated µs."""
+        """A ParallelGET of several requests is one Arrow read on the
+        driver, with no Spark job; each distinct posting is assembled once,
+        in first-seen order, and each request costs 0.0 simulated µs."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j2"))
         store = st.controller
         a, b, c = (int(p) for p in st.centroid_index.alive_ids[:3])
         with SparkJobs(spark) as counted:
             postings, costs = store.get_batch([[c, a], [a, b, c], []])
-        assert counted.n == 1
+        assert counted.n == 0
         assert list(postings) == [c, a, b]
         assert costs == [0.0, 0.0, 0.0]
         for pid, got in postings.items():
@@ -575,17 +604,34 @@ class TestJobCount:
             np.testing.assert_array_equal(got.vecs, want.vecs)
 
     def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
-        """An insert batch is one Spark job, its Parquet append. A 20-query
-        search runs its read step once for the batch, not once per
-        8-query slice, then the SQL scan of the postings it probed: 9 jobs
-        in all."""
+        """The build and an insert batch write their rows with Arrow: no
+        Spark job. A 20-query search runs its read step once for the batch,
+        with Arrow, then the SQL scan of the postings it probed: 8 Spark
+        jobs in all."""
         vecs, vids = base_data
-        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
+        with SparkJobs(spark) as counted:
+            st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
+        assert counted.n == 0
         new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=15).astype(np.float64)
         with SparkJobs(spark) as counted:
             insert_batch(st, np.arange(3000, 3020), new)
-        assert counted.n == 1
+        assert counted.n == 0
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
         with SparkJobs(spark) as counted:
             sp_search.search_results_matrix(st, qs, k=10)
-        assert counted.n == 9
+        assert counted.n == 8
+
+    def test_rebalance_launches_only_compaction_jobs(self, spark, base_data, tmp_path):
+        """The split, reassign and merge jobs of a rebalance read and write
+        postings with Arrow, so its only Spark jobs are its compaction's:
+        as many as a second compaction of the same rows launches."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j4"))
+        new = clustered_vectors(n=120, dim=8, n_clusters=8, seed=16).astype(np.float64)
+        insert_batch(st, np.arange(5000, 5120), new)
+        with SparkJobs(spark) as counted:
+            stats = rebalance(st)
+        assert stats.splits > 0
+        with SparkJobs(spark) as compaction:
+            compact(st)
+        assert counted.n == compaction.n == 5

@@ -123,6 +123,26 @@ class TestSearch:
         assert 1000 not in idx.search(new[0], 10)[0]
         assert not idx.version_map.contains(1000)
 
+    @pytest.mark.parametrize(
+        "vids, shape",
+        [([1000, 1001, 1002], (2, 8)), ([2000], (2, 8)), ([3000], (8,))],
+        ids=["fewer-rows", "more-rows", "one-dimensional"],
+    )
+    def test_malformed_batch_inserts_nothing(self, vids, shape):
+        """``vecs`` must be ``len(vids)`` rows of ``dim`` values; any other
+        shape refuses the batch before a vid is registered, so the same vids
+        insert afterwards with well-formed vectors."""
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=47)
+        idx = SPFreshIndex.build(vecs, np.arange(300), small_config(dim=8))
+        new = clustered_vectors(n=len(vids) + 1, dim=8, n_clusters=4, seed=48)
+        before = copy.deepcopy(idx.stats), idx.ssd.counters.snapshot()
+        with pytest.raises(ValueError):
+            idx.insert_batch(np.array(vids), new.ravel()[: np.prod(shape)].reshape(shape))
+        assert (idx.stats, idx.ssd.counters) == before
+        assert not any(idx.version_map.contains(v) for v in vids)
+        assert len(idx.insert_batch(np.array(vids), new[: len(vids)])) == len(vids)
+        assert all(v in idx.search(x, 3)[0] for v, x in zip(vids, new))
+
     def test_no_duplicate_vids_in_results(self, built):
         idx, vecs = built
         ids, _ = idx.search(vecs[0], 10)
