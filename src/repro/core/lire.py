@@ -3,9 +3,9 @@
 LIRE's decisions are pure functions of the vectors, the centroids and the
 version map, so they are made here, once. ``repro.core.spfresh`` (Block
 Controller) and ``repro.spark_index`` (Parquet dataset, Spark search) call
-this module, and both run its decisions through the one job queue of
-``repro.core.spfresh.LocalRebuilder``; they differ only in storage and in
-how search executes. The decisions it owns:
+this module, and both run its decisions through the Local Rebuilder's one
+job queue in ``repro.core.spfresh.SPFreshIndex``; they differ only in
+storage and in how search executes. The decisions it owns:
 
 - **Build leaf sizing** (:func:`build_layout`): hierarchical balanced
   clustering into leaves of 0.6 × the split limit; when the replication

@@ -1,12 +1,15 @@
 """The SPFresh engine: Updater + Local Rebuilder + Searcher (paper §4).
 
-Single-node reference implementation of the LIRE protocol over a posting
-store: the simulated Block Controller by default, or the Spark engine's
-Parquet store (:mod:`repro.spark_index`). The *Updater* appends a new
-vector to its nearest posting(s) and tombstones deletes in the version
-map. The *Local Rebuilder* (:class:`LocalRebuilder`) drains a job queue
-of split / merge / reassign jobs — off the foreground critical path, as
-the paper's feed-forward pipeline. Appends that leave a posting over the
+Single-node reference implementation of the LIRE protocol: one
+:class:`SPFreshIndex` owns the centroid index, the version map, the job
+queue, the config and a posting store — the simulated Block Controller
+by default, or the Spark engine's Parquet store (:mod:`repro.spark_index`),
+so both engines share one Updater, one job queue and one schedule, and
+differ only in storage. The *Updater* appends a new vector to its nearest
+posting(s) and tombstones deletes in the version map. The *Local
+Rebuilder* (:meth:`SPFreshIndex.process_jobs`) drains a job queue of
+split / merge / reassign jobs — off the foreground critical path, as the
+paper's feed-forward pipeline. Appends that leave a posting over the
 split limit queue a split job; a split job garbage-collects the posting
 and splits it only if it is still over the limit, then queues a reassign
 job. A reassign job fetches the split postings and their neighbours in
@@ -21,15 +24,11 @@ one batched ParallelGET that assembles each posting once, one staleness
 filter over the union and the merge trigger), then one distance GEMM
 over the distinct live vids and one exact top-k in ``(distance, vid)``
 order. The Spark search runs the same read step once per batch, then
-scans the postings it probed in SQL.
+scans the live rows it read in SQL.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
-target) is made by the planner in :mod:`repro.core.lire`. The
-:class:`LocalRebuilder` runs those decisions over any posting store with
-the Block Controller's posting calls. The Spark engine is an
-:class:`SPFreshIndex` over its Parquet store, so both engines share one
-Updater, one job queue and one schedule, and differ only in storage.
+target) is made by the planner in :mod:`repro.core.lire`.
 
 Feature flags reproduce the paper's ablations: ``rebalance=False`` is
 the SPANN+ baseline (append-only; the split job runs with its split step
@@ -101,266 +100,20 @@ class EngineStats:
     foreground_io_us: float = 0.0
 
 
-class LocalRebuilder:
-    """The Local Rebuilder (§4.2): one FIFO queue of split, merge and
-    reassign jobs over a posting store with the Block Controller's posting
-    calls (§4.3): ``exists``, ``length``, ``get``, ``get_batch``, ``put``,
-    ``append`` and ``delete``, each returning simulated µs (``get`` and
-    ``get_batch`` with the postings). A split or merge job reads its
-    posting with one ``get``; a reassign job reads the split postings and
-    their neighbours with one ``get_batch`` of two requests.
-
-    The Updater calls :meth:`inserted` after appending a vector, which
-    queues a split for each of its postings now over the limit; the
-    Searcher calls :meth:`read` with the live counts of the postings it
-    read, which queues a merge for each one under ``merge_limit``, empty
-    ones included. A split queues a reassign job, and the appends of a
-    move or a merge queue splits in turn (§3.4 cascades). ``_pending``
-    keeps a posting's split or merge job queued at most once.
-    """
-
-    def __init__(
-        self,
-        store: BlockController,
-        centroid_index: CentroidIndex,
-        version_map: VersionMap,
-        config: SPFreshConfig,
-        stats: EngineStats,
-    ):
-        self.store = store
-        self.centroid_index = centroid_index
-        self.version_map = version_map
-        self.config = config
-        self.stats = stats
-        self.latency = LatencyModel()
-        self.jobs: deque[tuple] = deque()
-        self._pending: set[tuple[str, int]] = set()  # dedupe split/merge jobs
-
-    def build(self, vecs: np.ndarray, vids: np.ndarray) -> None:
-        """Register the vectors and put the planner's build layout (§3.1)
-        into the store: one posting per centroid, its rows in input order."""
-        centroids, rows, cols = lire.build_layout(vecs, self.config)
-        self.version_map.add_many(vids)
-        # rows grouped by centroid column, in row order within a posting
-        order = np.argsort(cols, kind="stable")
-        bounds = np.searchsorted(cols[order], np.arange(len(centroids) + 1))
-        for c, centroid in enumerate(centroids):
-            r = rows[order[bounds[c] : bounds[c + 1]]]
-            posting = Posting(vids[r], np.zeros(len(r), dtype=np.int16), vecs[r])
-            self.store.put(self.centroid_index.add(centroid), posting)
-
-    # -- the shared live filter -------------------------------------------
-    def live(self, posting: Posting) -> Posting:
-        """Drop stale tuples and duplicate replicas within one posting."""
-        _, live, _ = self.live_rows([posting])
-        return posting.take(live)
-
-    def live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live tuples of several postings, found in one pass.
-
-        A tuple is live if it is not stale and is the first replica of its
-        vid within its posting. Returns the postings' concatenated vids, the
-        positions of the live tuples in that concatenation (grouped by
-        posting, in tuple order) and each posting's live count.
-        """
-        seg = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
-        vids = np.concatenate([p.vids for p in postings])
-        stale = self.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
-        live = np.flatnonzero(~stale)
-        if len(live):
-            # one key per (posting, vid); np.unique returns each key's first position
-            key = seg[live] * (int(vids[live].max()) + 1) + vids[live]
-            _, first = np.unique(key, return_index=True)
-            live = np.sort(live[first])
-        return vids, live, np.bincount(seg[live], minlength=len(postings))
-
-    # -- triggers ---------------------------------------------------------
-    def check_split(self, pid: int, depth: int) -> None:
-        """Queue a split job for a posting over the split limit."""
-        if not self.store.exists(pid):
-            return
-        length = self.store.length(pid)
-        if length <= self.config.split_limit:
-            return
-        # SPANN+ runs the split job, GC only, each time a posting's length
-        # reaches a multiple of the limit; its postings grow without bound.
-        if not self.config.rebalance and length % self.config.split_limit:
-            return
-        if ("split", pid) not in self._pending:
-            self._pending.add(("split", pid))
-            self.jobs.append(("split", pid, depth))
-
-    def inserted(self, pids: list[int]) -> None:
-        """The Updater's call once a vector is appended to its closure
-        postings ``pids``: check each for a split, and count the insert."""
-        before = len(self.jobs)
-        for pid in pids:
-            self.check_split(pid, 0)
-        if len(self.jobs) > before:
-            self.stats.inserts_triggering_rebalance += 1
-        self.stats.inserts += 1
-
-    def read(self, pids: list[int], n_live: list[int]) -> None:
-        """The Searcher's call with the live counts of the postings it read:
-        queue a merge for each one under ``merge_limit``, in read order."""
-        if not self.config.rebalance or len(self.centroid_index) <= 1:
-            return
-        for pid, n in zip(pids, n_live):
-            if n < self.config.merge_limit and ("merge", pid) not in self._pending:
-                self._pending.add(("merge", pid))
-                self.jobs.append(("merge", pid))
-
-    # -- jobs -------------------------------------------------------------
-    def run(self, max_jobs: int | None = None) -> int:
-        """Drain the job queue; returns the number of jobs run."""
-        done = 0
-        while self.jobs and (max_jobs is None or done < max_jobs):
-            job = self.jobs.popleft()
-            kind = job[0]
-            if kind in ("split", "merge"):
-                self._pending.discard((kind, job[1]))
-            if kind == "split":
-                self._split(job[1], job[2])
-            elif kind == "merge":
-                self._merge(job[1])
-            elif kind == "reassign":
-                self._reassign(*job[1:])
-            done += 1
-        return done
-
-    def _split(self, pid: int, depth: int) -> None:
-        """Garbage-collect the posting, then split it only if it is still
-        over the limit (§4.2.1); SPANN+ never splits."""
-        store, cfg = self.store, self.config
-        if not store.exists(pid):
-            return
-        posting, io = store.get(pid)
-        live = self.live(posting)
-        if len(live) <= cfg.split_limit or not cfg.rebalance:
-            io += store.put(pid, live)
-            self.stats.gc_rewrites += 1
-            self.stats.background_io_us += io
-            return
-        order, centers, labels = lire.split(live.vids, live.vecs, cfg)
-        live = live.take(order)
-        old_centroid = self.centroid_index.centroid(pid).copy()
-        new_pids = (self.centroid_index.add(centers[0]), self.centroid_index.add(centers[1]))
-        for c, npid in zip((0, 1), new_pids):
-            io += store.put(npid, live.take(labels == c))
-        self.centroid_index.remove(pid)
-        store.delete(pid)
-        self.stats.splits += 1
-        self.stats.max_cascade_depth = max(self.stats.max_cascade_depth, depth)
-        self.stats.background_io_us += io
-        # balanced 2-means cost model: n_iter Lloyd passes over the posting
-        self.stats.background_cpu_us += self.latency.scan_us(8 * len(live), cfg.dim)
-        if cfg.reassign:
-            self.jobs.append(("reassign", old_centroid, new_pids, centers, depth))
-        for npid in new_pids:
-            self.check_split(npid, depth + 1)
-
-    def _merge(self, pid: int) -> None:
-        store = self.store
-        if not store.exists(pid) or not self.config.rebalance:
-            return
-        posting, io = store.get(pid)
-        live = self.live(posting)
-        target = None
-        if len(live) < self.config.merge_limit:
-            target = lire.merge_target(self.centroid_index, pid)
-        if target is None:
-            self.stats.background_io_us += io
-            return
-        # delete the shorter posting + its centroid, append its vectors (§3.2)
-        self.centroid_index.remove(pid)
-        store.delete(pid)
-        if len(live):
-            io += store.append(target, live)
-        self.stats.merges += 1
-        self.stats.background_io_us += io
-        # Reassign check for moved vectors only — no neighbor check (§4.2.1)
-        if self.config.reassign and len(live):
-            self.stats.reassign_evaluated += len(live)
-            self._move(live, np.full(len(live), target, dtype=np.int64), depth=0)
-        self.check_split(target, 1)
-
-    def _reassign(
-        self,
-        old_centroid: np.ndarray,
-        new_pids: tuple[int, int],
-        new_centroids: np.ndarray,
-        depth: int,
-    ) -> None:
-        store, cfg = self.store, self.config
-        self.stats.reassign_jobs += 1
-        # the two split postings (condition 1), then their neighbors (condition 2)
-        split_alive = [p for p in new_pids if store.exists(p)]
-        scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
-        nbr = [p for p in scope if store.exists(p)]
-        fetched, ios = store.get_batch([split_alive, nbr])
-        for io in ios:  # one at a time, in request order: the same float sums
-            self.stats.background_io_us += io
-        if not fetched:
-            return
-        _, live, n_live = self.live_rows(list(fetched.values()))
-        self.stats.reassign_evaluated += len(live)
-        if not len(live):
-            return
-        rows = Posting.concat(list(fetched.values())).take(live)
-        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
-        mask = lire.reassign_candidate_mask(
-            rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
-        )
-        if not mask.any():
-            return
-        evaluated = self._move(rows.take(mask), cur_pids[mask], depth)
-        self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
-
-    def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:
-        """Plan the candidates' moves, then batch them into one append per
-        target posting — the Local Rebuilder amortizes the last-block RMW
-        across all vectors landing in the same posting (§4.2.2). Returns
-        the number of vectors the plan checked."""
-        plan = lire.plan_moves(
-            cands.vids, cands.versions, cands.vecs, cur_pids,
-            self.centroid_index, self.version_map, self.config,
-        )
-        self.stats.reassign_moved += plan.moved
-        self.stats.reassign_aborted_cas += plan.aborted
-        moved = Posting(plan.vids, plan.versions.astype(np.int16), plan.vecs)
-        # rows grouped by target with one stable sort, targets in first-seen order
-        order = np.argsort(plan.pids, kind="stable")
-        targets, first = np.unique(plan.pids, return_index=True)
-        bounds = np.searchsorted(plan.pids[order], targets)
-        ends = np.append(bounds[1:], len(order))
-        io = 0.0
-        for t in np.argsort(first).tolist():
-            pid = int(targets[t])
-            io += self.store.append(pid, moved.take(order[bounds[t] : ends[t]]))
-            self.check_split(pid, depth + 1)
-        self.stats.background_io_us += io
-        return plan.evaluated
-
-
 class SPFreshIndex:
-    """Cluster-based updatable ANN index with in-place LIRE rebalancing.
-
-    ``store`` is the posting store, any object with the Block Controller's
-    posting calls and ``get_batch``; the default is a
-    :class:`BlockController` over a fresh :class:`SimulatedSSD`. The Spark
-    engine passes its Parquet store.
-    """
+    """Cluster-based updatable ANN index with in-place LIRE rebalancing."""
 
     def __init__(self, config: SPFreshConfig, store: BlockController | None = None):
         self.config = config
+        # the posting store: any object with the Block Controller's posting
+        # calls; the Spark engine passes its Parquet store
         self.controller = store if store is not None else BlockController(SimulatedSSD(), config.dim)
         self.centroid_index = CentroidIndex(config.dim)
         self.version_map = VersionMap()
         self.latency = LatencyModel()
         self.stats = EngineStats()
-        self.rebuilder = LocalRebuilder(
-            self.controller, self.centroid_index, self.version_map, config, self.stats
-        )
+        self.jobs: deque[tuple] = deque()  # the Local Rebuilder's FIFO queue
+        self._pending: set[tuple[str, int]] = set()  # dedupe split/merge jobs
         self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
 
     @property
@@ -368,10 +121,13 @@ class SPFreshIndex:
         """The simulated device under the default Block Controller."""
         return self.controller.ssd
 
-    @property
-    def jobs(self) -> deque[tuple]:
-        """The Local Rebuilder's job queue."""
-        return self.rebuilder.jobs
+    def _vectors(self, vids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """``vecs`` as float32 rows; raises ``ValueError`` unless they are
+        ``len(vids)`` rows of ``config.dim`` values."""
+        vecs = np.asarray(vecs, dtype=np.float32)
+        if vecs.shape != (len(vids), self.config.dim):
+            raise ValueError(f"vecs of shape {vecs.shape}, not ({len(vids)}, {self.config.dim})")
+        return vecs
 
     # ------------------------------------------------------------------
     # Build (SPANN hierarchical balanced clustering + closure assignment)
@@ -382,11 +138,22 @@ class SPFreshIndex:
         store: BlockController | None = None,
     ) -> "SPFreshIndex":
         """Build a balanced index from scratch (the paper's initial state)
-        into ``store``, an empty posting store (default: a fresh one)."""
+        into ``store``, an empty posting store (default: a fresh one): the
+        planner's build layout (§3.1), one posting per centroid, its rows
+        in input order. Raises ``ValueError``, registering no vid, unless
+        ``vecs`` is ``len(vids)`` rows of ``config.dim`` values."""
         self = cls(config, store)
-        vecs = np.asarray(vecs, dtype=np.float32)
         vids = np.asarray(vids, dtype=np.int64)
-        self.rebuilder.build(vecs, vids)
+        vecs = self._vectors(vids, vecs)
+        centroids, rows, cols = lire.build_layout(vecs, config)
+        self.version_map.add_many(vids)
+        # rows grouped by centroid column, in row order within a posting
+        order = np.argsort(cols, kind="stable")
+        bounds = np.searchsorted(cols[order], np.arange(len(centroids) + 1))
+        for c, centroid in enumerate(centroids):
+            r = rows[order[bounds[c] : bounds[c + 1]]]
+            posting = Posting(vids[r], np.zeros(len(r), dtype=np.int16), vecs[r])
+            self.controller.put(self.centroid_index.add(centroid), posting)
         self._vecs = dict(zip(vids.tolist(), vecs))
         return self
 
@@ -406,9 +173,7 @@ class SPFreshIndex:
         negative, registered already or occurs twice in it, or when
         ``vecs`` is not ``len(vids)`` rows of ``config.dim`` values."""
         self.version_map.check_new(vids)
-        vecs = np.asarray(vecs, dtype=np.float32)
-        if vecs.shape != (len(vids), self.config.dim):
-            raise ValueError(f"vecs of shape {vecs.shape}, not ({len(vids)}, {self.config.dim})")
+        vecs = self._vectors(vids, vecs)
         if not len(vecs):
             return np.empty(0)
         rows, pids = lire.closure_pids(self.centroid_index, vecs, self.config)
@@ -425,7 +190,7 @@ class SPFreshIndex:
             io = 0.0
             for pid in closure:
                 io += self.controller.append(pid, tail)
-            self.rebuilder.inserted(closure)
+            self.inserted(closure)
             self.stats.foreground_io_us += io
             lats[i] = self.latency.insert_us(
                 n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
@@ -485,8 +250,8 @@ class SPFreshIndex:
             self.stats.foreground_io_us += io
         if not postings:
             return probed, postings, ios, None
-        rows = self.rebuilder.live_rows(list(postings.values()))
-        self.rebuilder.read(list(postings), rows[2].tolist())
+        rows = self.live_rows(list(postings.values()))
+        self.read(list(postings), rows[2].tolist())
         return probed, postings, ios, rows
 
     def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -527,10 +292,213 @@ class SPFreshIndex:
 
     # ------------------------------------------------------------------
     # Local Rebuilder (background, paper §4.2)
+    #
+    # One FIFO queue of split, merge and reassign jobs over the posting
+    # store's calls (§4.3): ``exists``, ``length``, ``get``, ``get_batch``,
+    # ``put``, ``append`` and ``delete``, each returning simulated µs
+    # (``get`` and ``get_batch`` with the postings). A split or merge job
+    # reads its posting with one ``get``; a reassign job reads the split
+    # postings and their neighbours with one ``get_batch`` of two requests.
+    # The Updater calls ``inserted`` after appending a vector, which queues
+    # a split for each of its postings now over the limit; the Searcher
+    # calls ``read`` with the live counts of the postings it read, which
+    # queues a merge for each one under ``merge_limit``, empty ones
+    # included. A split queues a reassign job, and the appends of a move or
+    # a merge queue splits in turn (§3.4 cascades). ``_pending`` keeps a
+    # posting's split or merge job queued at most once.
     # ------------------------------------------------------------------
+
+    # -- the shared live filter -------------------------------------------
+    def live(self, posting: Posting) -> Posting:
+        """Drop stale tuples and duplicate replicas within one posting."""
+        _, live, _ = self.live_rows([posting])
+        return posting.take(live)
+
+    def live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live tuples of several postings, found in one pass.
+
+        A tuple is live if it is not stale and is the first replica of its
+        vid within its posting. Returns the postings' concatenated vids, the
+        positions of the live tuples in that concatenation (grouped by
+        posting, in tuple order) and each posting's live count.
+        """
+        seg = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
+        vids = np.concatenate([p.vids for p in postings])
+        stale = self.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
+        live = np.flatnonzero(~stale)
+        if len(live):
+            # one key per (posting, vid); np.unique returns each key's first position
+            key = seg[live] * (int(vids[live].max()) + 1) + vids[live]
+            _, first = np.unique(key, return_index=True)
+            live = np.sort(live[first])
+        return vids, live, np.bincount(seg[live], minlength=len(postings))
+
+    # -- triggers ---------------------------------------------------------
+    def check_split(self, pid: int, depth: int) -> None:
+        """Queue a split job for a posting over the split limit."""
+        if not self.controller.exists(pid):
+            return
+        length = self.controller.length(pid)
+        if length <= self.config.split_limit:
+            return
+        # SPANN+ runs the split job, GC only, each time a posting's length
+        # reaches a multiple of the limit; its postings grow without bound.
+        if not self.config.rebalance and length % self.config.split_limit:
+            return
+        if ("split", pid) not in self._pending:
+            self._pending.add(("split", pid))
+            self.jobs.append(("split", pid, depth))
+
+    def inserted(self, pids: list[int]) -> None:
+        """The Updater's call once a vector is appended to its closure
+        postings ``pids``: check each for a split, and count the insert."""
+        before = len(self.jobs)
+        for pid in pids:
+            self.check_split(pid, 0)
+        if len(self.jobs) > before:
+            self.stats.inserts_triggering_rebalance += 1
+        self.stats.inserts += 1
+
+    def read(self, pids: list[int], n_live: list[int]) -> None:
+        """The Searcher's call with the live counts of the postings it read:
+        queue a merge for each one under ``merge_limit``, in read order."""
+        if not self.config.rebalance or len(self.centroid_index) <= 1:
+            return
+        for pid, n in zip(pids, n_live):
+            if n < self.config.merge_limit and ("merge", pid) not in self._pending:
+                self._pending.add(("merge", pid))
+                self.jobs.append(("merge", pid))
+
+    # -- jobs -------------------------------------------------------------
     def process_jobs(self, max_jobs: int | None = None) -> int:
-        """Drain the rebuild job queue; returns the number of jobs run."""
-        return self.rebuilder.run(max_jobs)
+        """Drain the job queue; returns the number of jobs run."""
+        done = 0
+        while self.jobs and (max_jobs is None or done < max_jobs):
+            job = self.jobs.popleft()
+            kind = job[0]
+            if kind in ("split", "merge"):
+                self._pending.discard((kind, job[1]))
+            if kind == "split":
+                self._split(job[1], job[2])
+            elif kind == "merge":
+                self._merge(job[1])
+            elif kind == "reassign":
+                self._reassign(*job[1:])
+            done += 1
+        return done
+
+    def _split(self, pid: int, depth: int) -> None:
+        """Garbage-collect the posting, then split it only if it is still
+        over the limit (§4.2.1); SPANN+ never splits."""
+        store, cfg = self.controller, self.config
+        if not store.exists(pid):
+            return
+        posting, io = store.get(pid)
+        live = self.live(posting)
+        if len(live) <= cfg.split_limit or not cfg.rebalance:
+            io += store.put(pid, live)
+            self.stats.gc_rewrites += 1
+            self.stats.background_io_us += io
+            return
+        order, centers, labels = lire.split(live.vids, live.vecs, cfg)
+        live = live.take(order)
+        old_centroid = self.centroid_index.centroid(pid).copy()
+        new_pids = (self.centroid_index.add(centers[0]), self.centroid_index.add(centers[1]))
+        for c, npid in zip((0, 1), new_pids):
+            io += store.put(npid, live.take(labels == c))
+        self.centroid_index.remove(pid)
+        store.delete(pid)
+        self.stats.splits += 1
+        self.stats.max_cascade_depth = max(self.stats.max_cascade_depth, depth)
+        self.stats.background_io_us += io
+        # balanced 2-means cost model: n_iter Lloyd passes over the posting
+        self.stats.background_cpu_us += self.latency.scan_us(8 * len(live), cfg.dim)
+        if cfg.reassign:
+            self.jobs.append(("reassign", old_centroid, new_pids, centers, depth))
+        for npid in new_pids:
+            self.check_split(npid, depth + 1)
+
+    def _merge(self, pid: int) -> None:
+        store = self.controller
+        if not store.exists(pid) or not self.config.rebalance:
+            return
+        posting, io = store.get(pid)
+        live = self.live(posting)
+        target = None
+        if len(live) < self.config.merge_limit:
+            target = lire.merge_target(self.centroid_index, pid)
+        if target is None:
+            self.stats.background_io_us += io
+            return
+        # delete the shorter posting + its centroid, append its vectors (§3.2)
+        self.centroid_index.remove(pid)
+        store.delete(pid)
+        if len(live):
+            io += store.append(target, live)
+        self.stats.merges += 1
+        self.stats.background_io_us += io
+        # Reassign check for moved vectors only — no neighbor check (§4.2.1)
+        if self.config.reassign and len(live):
+            self.stats.reassign_evaluated += len(live)
+            self._move(live, np.full(len(live), target, dtype=np.int64), depth=0)
+        self.check_split(target, 1)
+
+    def _reassign(
+        self,
+        old_centroid: np.ndarray,
+        new_pids: tuple[int, int],
+        new_centroids: np.ndarray,
+        depth: int,
+    ) -> None:
+        store, cfg = self.controller, self.config
+        self.stats.reassign_jobs += 1
+        # the two split postings (condition 1), then their neighbors (condition 2)
+        split_alive = [p for p in new_pids if store.exists(p)]
+        scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
+        nbr = [p for p in scope if store.exists(p)]
+        fetched, ios = store.get_batch([split_alive, nbr])
+        for io in ios:  # one at a time, in request order: the same float sums
+            self.stats.background_io_us += io
+        if not fetched:
+            return
+        _, live, n_live = self.live_rows(list(fetched.values()))
+        self.stats.reassign_evaluated += len(live)
+        if not len(live):
+            return
+        rows = Posting.concat(list(fetched.values())).take(live)
+        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
+        mask = lire.reassign_candidate_mask(
+            rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
+        )
+        if not mask.any():
+            return
+        evaluated = self._move(rows.take(mask), cur_pids[mask], depth)
+        self.stats.background_cpu_us += self.latency.scan_us(evaluated, cfg.dim)
+
+    def _move(self, cands: Posting, cur_pids: np.ndarray, depth: int) -> int:
+        """Plan the candidates' moves, then batch them into one append per
+        target posting — the Local Rebuilder amortizes the last-block RMW
+        across all vectors landing in the same posting (§4.2.2). Returns
+        the number of vectors the plan checked."""
+        plan = lire.plan_moves(
+            cands.vids, cands.versions, cands.vecs, cur_pids,
+            self.centroid_index, self.version_map, self.config,
+        )
+        self.stats.reassign_moved += plan.moved
+        self.stats.reassign_aborted_cas += plan.aborted
+        moved = Posting(plan.vids, plan.versions.astype(np.int16), plan.vecs)
+        # rows grouped by target with one stable sort, targets in first-seen order
+        order = np.argsort(plan.pids, kind="stable")
+        targets, first = np.unique(plan.pids, return_index=True)
+        bounds = np.searchsorted(plan.pids[order], targets)
+        ends = np.append(bounds[1:], len(order))
+        io = 0.0
+        for t in np.argsort(first).tolist():
+            pid = int(targets[t])
+            io += self.controller.append(pid, moved.take(order[bounds[t] : ends[t]]))
+            self.check_split(pid, depth + 1)
+        self.stats.background_io_us += io
+        return plan.evaluated
 
     # ------------------------------------------------------------------
     # Introspection / resource model

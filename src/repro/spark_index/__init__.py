@@ -9,15 +9,16 @@ object-store stand-in), which the driver reads and appends to with Arrow
 Updater, the Local Rebuilder's job queue and the Searcher's read step are
 the core engine's, run on the driver over that store; the two engines
 differ only in storage and execution. A search navigates once, on the
-driver, as the core Searcher does; Spark then scans the probed postings
-and ranks the batch's top-k as a DataFrame plan.
+driver, as the core Searcher does, and reads each probed posting once;
+Spark then scans the live rows of that read and ranks the batch's top-k
+as a DataFrame plan.
 
 Modules: :mod:`store` (the Parquet posting store behind the Block
 Controller's posting calls, holding storage state only), :mod:`engine`
 (build, the insert batch's Parquet file, the metadata commit and load,
 the live view as DataFrames, compaction and ``rebalance``), :mod:`search`
-(the driver's probes, then the scan and top-k as a DataFrame plan, with a
-DuckDB SQL twin for the oracle).
+(the driver's read step, then the scan of its live rows and the top-k as
+a DataFrame plan, with a DuckDB SQL twin for the oracle).
 """
 from repro.spark_index.store import SparkPostingStore
 

@@ -10,7 +10,7 @@ is Spark's own:
   by one Parquet file of their rows, written with Arrow on the driver;
 - the metadata commit (:func:`commit`) and :func:`load_index`;
 - the live view as DataFrames, which read the index's version map and
-  alive posting ids;
+  alive posting ids, for compaction and inspection;
 - :func:`compact`, a Spark rewrite, and :func:`rebalance`.
 
 Deletes are the core's ``SPFreshIndex.delete``: tombstones in the version
@@ -94,7 +94,8 @@ def live_df(idx: SPFreshIndex) -> DataFrame:
     """Live posting rows: version matches, not tombstoned, and the
     posting still exists (split/merged-away pids are filtered by the
     alive-pid join, the dataset analog of ``controller.delete``). One
-    row per (pid, vid) — the Spark twin of ``LocalRebuilder.live``."""
+    row per (pid, vid) — the Spark twin of ``SPFreshIndex.live``. Compaction
+    and ``live_sizes`` read it; a search scans the rows its read step holds."""
     store = idx.controller
     alive = store.spark.createDataFrame(arrow_table(pid=idx.centroid_index.alive_ids))
     joined = (

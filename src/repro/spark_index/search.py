@@ -7,14 +7,17 @@ navigation GEMM over the in-memory centroid index picks each query's
 ``nprobe`` postings, as the paper's SPTAG index does, and the read of
 those postings, one Arrow read with no Spark job, queues a merge job for
 each one with fewer than ``merge_limit`` live rows. The probed
-``(qid, pid)`` pairs and the queries then go to Spark as Arrow tables,
-and its plan is three relational steps:
+``(qid, pid)`` pairs, the live rows that read found as ``(pid, vid,
+vec)`` and the queries then go to Spark as Arrow tables, and its plan is
+three relational steps:
 
-1. posting scan — join the probes with live posting rows on ``pid``;
+1. posting scan — join the probes with those live rows on ``pid``;
 2. replica dedupe — min distance per ``(qid, vid)``;
 3. final top-k — ``row_number`` over ``(distance, vid)`` per query.
 
-The merge trigger and the scan therefore see the same postings.
+Each probed posting is thus read once, and the scan touches no other
+row: its rows grow with nprobe, not with the dataset. The merge trigger
+and the scan see the same postings.
 
 ``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the relations
 the search reads, with the navigation done in SQL, so
@@ -29,7 +32,6 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.spfresh import SPFreshIndex
-from repro.spark_index.engine import live_df
 from repro.spark_index.store import arrow_table
 
 # squared L2 between two array<double> columns, in pure Spark SQL
@@ -41,16 +43,25 @@ SQ_L2 = (
 
 def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
-    The driver's read step picks each query's postings and queues merges
-    for the undersized ones (SPANN+ queues none); the plan scans those."""
+    The driver's read step picks each query's postings, reads them and
+    queues merges for the undersized ones (SPANN+ queues none); the plan
+    scans the live rows it read."""
     queries = np.asarray(queries, dtype=np.float64)
-    probed = idx.probe(queries)[0]
+    probed, postings, _, rows = idx.probe(queries)
+    spark = idx.controller.spark
+    if rows is None:
+        return spark.createDataFrame([], "qid long, vid long, rnk int")
+    all_vids, at, n_live = rows
     qids = np.arange(len(queries), dtype=np.int64)
-    probes = idx.controller.spark.createDataFrame(
+    probes = spark.createDataFrame(
         arrow_table(qid=np.repeat(qids, probed.shape[1]), pid=probed.ravel())
     )
-    q_df = idx.controller.spark.createDataFrame(arrow_table(qid=qids, qvec=queries))
-    live = live_df(idx)
+    q_df = spark.createDataFrame(arrow_table(qid=qids, qvec=queries))
+    live = spark.createDataFrame(arrow_table(
+        pid=np.repeat(np.fromiter(postings, dtype=np.int64, count=len(postings)), n_live),
+        vid=all_vids[at],
+        vec=np.concatenate([p.vecs for p in postings.values()])[at],
+    ))
     cand = (
         probes.join(live, on="pid")
         .join(q_df, on="qid")

@@ -16,7 +16,7 @@ each call returns 0 simulated µs:
 - ``append`` buffers rows; :meth:`SparkPostingStore.flush` writes the
   buffer as one Parquet file with Arrow, before the next read of the
   dataset, at the end of an insert batch and before a metadata commit;
-- ``put`` is an append plus a length reset. The rebuilder puts only a
+- ``put`` is an append plus a length reset. The Local Rebuilder puts only a
   posting's own live rows (GC) or a fresh pid (split), so the rows a put
   replaces are stale or duplicates: the live view drops them, and
   compaction deletes them;

@@ -132,7 +132,7 @@ class TestBuild:
         insert_batch(st, np.arange(5000, 5120), new)  # past the split limit
         delete(st, np.arange(0, 30))
         commit(st)
-        assert st.jobs and st.rebuilder._pending
+        assert st.jobs and st._pending
         shutil.copytree(root, tmp_path / "copy")
         loaded = load_index(spark, str(tmp_path / "copy"))
         np.testing.assert_array_equal(loaded.centroid_index.alive_ids, st.centroid_index.alive_ids)
@@ -140,7 +140,7 @@ class TestBuild:
         for got, want in zip(loaded.version_map.entries(), st.version_map.entries()):
             np.testing.assert_array_equal(got, want)
         assert list(loaded.jobs) == list(st.jobs)
-        assert loaded.rebuilder._pending == st.rebuilder._pending
+        assert loaded._pending == st._pending
         rebalance(loaded)
         rebalance(st)
         assert live_postings(loaded) == live_postings(st)
@@ -506,7 +506,7 @@ class TestCrossEngine:
             np.testing.assert_array_equal(st.centroid_index.alive_ids, core.centroid_index.alive_ids)
             assert live_postings(st) == core_live_postings(core)
             assert st.posting_lengths() == core.posting_lengths()
-            assert not core.jobs and not st.rebuilder.jobs
+            assert not core.jobs and not st.jobs
             assert counts(st.stats) == counts(core.stats)
             for got, want in zip(spark_ids, core_ids):
                 np.testing.assert_array_equal(got, want)
@@ -522,7 +522,7 @@ class TestCrossEngine:
         held = live_df(st).where(F.col("pid") == pid).toPandas()["vid"]
         delete(st, held.to_numpy())
         sp_search.search_results_matrix(st, st.centroid_index.centroids([pid]), k=5)
-        assert ("merge", pid) in st.rebuilder._pending
+        assert ("merge", pid) in st._pending
         assert rebalance(st).merges == 1 and pid not in st.centroid_index
 
 
@@ -536,7 +536,7 @@ def live_postings(st: SPFreshIndex) -> dict[int, list[int]]:
 
 def core_live_postings(core: SPFreshIndex) -> dict[int, list[int]]:
     return {
-        p: sorted(core.rebuilder.live(core.controller.get(p)[0]).vids.tolist())
+        p: sorted(core.live(core.controller.get(p)[0]).vids.tolist())
         for p in core.controller.posting_ids
     }
 
@@ -606,8 +606,8 @@ class TestJobCount:
     def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
         """The build and an insert batch write their rows with Arrow: no
         Spark job. A 20-query search runs its read step once for the batch,
-        with Arrow, then the SQL scan of the postings it probed: 8 Spark
-        jobs in all."""
+        with Arrow, then the SQL scan of the live rows that step read: 5
+        Spark jobs in all."""
         vecs, vids = base_data
         with SparkJobs(spark) as counted:
             st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
@@ -619,7 +619,7 @@ class TestJobCount:
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
         with SparkJobs(spark) as counted:
             sp_search.search_results_matrix(st, qs, k=10)
-        assert counted.n == 8
+        assert counted.n == 5
 
     def test_rebalance_launches_only_compaction_jobs(self, spark, base_data, tmp_path):
         """The split, reassign and merge jobs of a rebalance read and write

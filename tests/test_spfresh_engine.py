@@ -1,5 +1,6 @@
 """Integration tests for the SPFresh engine (paper §3.2–§3.4, §4)."""
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
 from repro.blockstore.controller import Posting
 from repro.core import lire
 from repro.core.distances import pairwise_sq_l2, topk_indices
-from repro.core.spfresh import SEARCH_SLICE, LocalRebuilder, SPFreshConfig, SPFreshIndex
+from repro.core.spfresh import SEARCH_SLICE, SPFreshConfig, SPFreshIndex
 from repro.experiments import default_config
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
@@ -63,6 +64,29 @@ class TestBuild:
         a = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8))
         b = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8))
         assert a.posting_lengths() == b.posting_lengths()
+
+    @pytest.mark.parametrize("n_vids", [400, 200])
+    def test_vids_not_matching_vecs_are_refused(self, n_vids):
+        """300 vectors with 400 vids would register 100 vids that no
+        posting holds; with 200 vids, 100 vectors would have no vid."""
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=62)
+        with pytest.raises(ValueError):
+            SPFreshIndex.build(vecs, np.arange(n_vids), small_config(dim=8))
+
+
+class TestOneConfig:
+    def test_swapped_config_reaches_the_merge_trigger(self):
+        """Fig. 10's sweep swaps ``idx.config`` between searches
+        (``experiments._tradeoff_rows``); the Local Rebuilder's merge
+        trigger reads the swapped config: with every posting under
+        ``merge_limit``, a search queues a merge for each posting it probes."""
+        vecs = clustered_vectors(n=500, dim=8, n_clusters=8, seed=63)
+        idx = SPFreshIndex.build(vecs, np.arange(500), small_config(dim=8, nprobe=6))
+        idx.config = dataclasses.replace(idx.config, merge_limit=10**6)
+        probed = idx.centroid_index.search_batch(vecs[:1].astype(np.float64), 6)[0]
+        idx.search(vecs[0], 10)
+        assert list(idx.jobs) == [("merge", pid) for pid in probed.tolist()]
+        assert len(idx.jobs) == 6
 
 
 class TestSearch:
@@ -167,7 +191,7 @@ def per_query_search(idx: SPFreshIndex, q: np.ndarray, k: int) -> tuple[np.ndarr
         if len(live):  # the first replica of each vid within the posting
             _, first = np.unique(live.vids, return_index=True)
             live = live.take(np.sort(first))
-        pending = idx.rebuilder._pending
+        pending = idx._pending
         if (
             cfg.rebalance
             and len(live) < cfg.merge_limit
@@ -268,9 +292,9 @@ class TestBatchedSearch:
         for (w_ids, w_lat), got, lat in zip(want, ids, lats):
             np.testing.assert_array_equal(got, w_ids)
             assert lat == w_lat
-        assert {("merge", dup), ("merge", empty)} <= new.rebuilder._pending
+        assert {("merge", dup), ("merge", empty)} <= new._pending
         assert list(new.jobs) == list(ref.jobs)
-        assert new.rebuilder._pending == ref.rebuilder._pending
+        assert new._pending == ref._pending
         assert new.ssd.counters == ref.ssd.counters
         assert new.stats == ref.stats
 
@@ -294,7 +318,7 @@ class TestBatchedSearch:
                 np.testing.assert_array_equal(got, w_ids)
                 assert lat == w_lat
             assert list(run.jobs) == list(ref.jobs)
-            assert run.rebuilder._pending == ref.rebuilder._pending
+            assert run._pending == ref._pending
             assert run.ssd.counters == ref.ssd.counters and run.stats == ref.stats
 
     def test_equal_vectors_ranked_by_vid(self):
@@ -321,7 +345,7 @@ class TestBatchedSearch:
         idx, qs, _, empty = churned
         run = copy.deepcopy(idx)
         run.search_batch(qs[1:2], 10)  # the empty posting's centroid
-        assert ("merge", empty) in run.rebuilder._pending
+        assert ("merge", empty) in run._pending
         run.process_jobs()
         assert not run.controller.exists(empty) and empty not in run.centroid_index
 
@@ -426,7 +450,7 @@ class TestSplit:
         stored = set()
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            live = idx.rebuilder.live(p)
+            live = idx.live(p)
             stored.update(int(v) for v in live.vids)
         assert stored == set(range(600))
 
@@ -479,7 +503,7 @@ class TestReassign:
         membership: dict[int, set] = {}
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            live = idx.rebuilder.live(p)
+            live = idx.live(p)
             for v in live.vids:
                 membership.setdefault(int(v), set()).add(pid)
         viol = 0
@@ -558,7 +582,7 @@ class TestMerge:
         stored = set()
         for pid in idx.controller.posting_ids:
             p, _ = idx.controller.get(pid)
-            stored.update(int(v) for v in idx.rebuilder.live(p).vids)
+            stored.update(int(v) for v in idx.live(p).vids)
         assert stored == set(range(300, 400))
 
 
@@ -589,23 +613,23 @@ class TestSpannPlus:
         assert sum(idx.posting_lengths().values()) < before
 
 
-def per_posting_live(rebuilder: LocalRebuilder, posting: Posting) -> Posting:
+def per_posting_live(rebuilder: SPFreshIndex, posting: Posting) -> Posting:
     """A posting's tuples that are not stale, first replica of each vid."""
     live = posting.take(~rebuilder.version_map.is_stale(posting.vids, posting.versions))
     _, first = np.unique(live.vids, return_index=True)
     return live.take(np.sort(first))
 
 
-class PerPostingRebuilder(LocalRebuilder):
+class PerPostingRebuilder(SPFreshIndex):
     """The Local Rebuilder before a reassign job screened once, kept as the
     reference: a reassign job filters and screens each fetched posting on
     its own, and SPANN+ queues a GC job kind of its own. Its merge trigger
     is the shared one (live < merge_limit, empty postings included)."""
 
     def check_split(self, pid: int, depth: int) -> None:
-        if not self.store.exists(pid):
+        if not self.controller.exists(pid):
             return
-        length = self.store.length(pid)
+        length = self.controller.length(pid)
         if length <= self.config.split_limit:
             return
         if self.config.rebalance:
@@ -617,7 +641,7 @@ class PerPostingRebuilder(LocalRebuilder):
                 self._pending.add(("gc", pid))
                 self.jobs.append(("gc", pid))
 
-    def run(self, max_jobs: int | None = None) -> int:
+    def process_jobs(self, max_jobs: int | None = None) -> int:
         done = 0
         while self.jobs and (max_jobs is None or done < max_jobs):
             job = self.jobs.popleft()
@@ -636,23 +660,23 @@ class PerPostingRebuilder(LocalRebuilder):
         return done
 
     def _gc(self, pid: int) -> None:
-        if not self.store.exists(pid):
+        if not self.controller.exists(pid):
             return
-        posting, io = self.store.get(pid)
+        posting, io = self.controller.get(pid)
         live = per_posting_live(self, posting)
-        io += self.store.put(pid, live)
+        io += self.controller.put(pid, live)
         self.stats.gc_rewrites += 1
         self.stats.background_io_us += io
 
     def _reassign(self, old_centroid, new_pids, new_centroids, depth) -> None:
         cfg = self.config
         self.stats.reassign_jobs += 1
-        split_alive = [p for p in new_pids if self.store.exists(p)]
+        split_alive = [p for p in new_pids if self.controller.exists(p)]
         scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
-        nbr = [p for p in scope if self.store.exists(p)]
+        nbr = [p for p in scope if self.controller.exists(p)]
         candidates, cand_from = [], []
         for pids in (split_alive, nbr):
-            postings, io = self.store.get_many(pids)
+            postings, io = self.controller.get_many(pids)
             self.stats.background_io_us += io
             for pid, posting in postings.items():
                 live = per_posting_live(self, posting)
@@ -682,7 +706,7 @@ class PerPostingRebuilder(LocalRebuilder):
         targets, first = np.unique(plan.pids, return_index=True)
         io = 0.0
         for pid in targets[np.argsort(first)].tolist():
-            io += self.store.append(pid, moved.take(np.flatnonzero(plan.pids == pid)))
+            io += self.controller.append(pid, moved.take(np.flatnonzero(plan.pids == pid)))
             self.check_split(pid, depth + 1)
         self.stats.background_io_us += io
         return plan.evaluated
@@ -701,8 +725,8 @@ def assert_same_state(a: SPFreshIndex, ref: SPFreshIndex) -> None:
     assert a.ssd.counters == ref.ssd.counters  # before the reads below
     assert a.stats == ref.stats
     assert [job_key(j) for j in a.jobs] == [job_key(j) for j in ref.jobs]
-    assert a.rebuilder._pending == {
-        ("split" if k == "gc" else k, pid) for k, pid in ref.rebuilder._pending
+    assert a._pending == {
+        ("split" if k == "gc" else k, pid) for k, pid in ref._pending
     }
     for x, y in zip(a.version_map.entries(), ref.version_map.entries()):
         np.testing.assert_array_equal(x, y)
@@ -737,7 +761,7 @@ class TestRebuilderMatchesPerPostingReference:
             clustered_vectors(n=1000, dim=8, n_clusters=8, seed=50), np.arange(1000), cfg
         )
         ref = copy.deepcopy(idx)
-        ref.rebuilder.__class__ = PerPostingRebuilder
+        ref.__class__ = PerPostingRebuilder
         qs = clustered_vectors(n=40, dim=8, n_clusters=8, seed=51)
         rng = np.random.default_rng(52)
         kinds = []
@@ -761,7 +785,7 @@ class TestRebuilderMatchesPerPostingReference:
         vecs = clustered_vectors(n=500, dim=8, n_clusters=4, seed=54)
         idx = build_spann_plus(vecs, np.arange(500), small_config(dim=8))
         ref = copy.deepcopy(idx)
-        ref.rebuilder.__class__ = PerPostingRebuilder
+        ref.__class__ = PerPostingRebuilder
         new = clustered_vectors(n=900, dim=8, n_clusters=4, seed=55)
         vids = 500 + np.random.default_rng(56).permutation(900)  # tuple order is not vid order
         for lo in range(0, 900, 150):
