@@ -94,32 +94,33 @@ class VersionMap:
         return vids, cur & _VERSION_MASK, (cur & _DELETE_BIT) != 0
 
     def is_stale(self, vids: np.ndarray, disk_versions: np.ndarray) -> np.ndarray:
-        """Vectorised staleness test for a posting's on-disk tuples."""
+        """Vectorised staleness test for a posting's on-disk tuples. A tuple
+        of a vid the map never registered, past its capacity too, is stale:
+        a crash can lose an insert's registration but not its rows."""
         vids = np.asarray(vids, dtype=np.int64)
-        cur = self._v[vids]
+        try:
+            cur = self._v[vids]
+        except IndexError:  # a vid past the capacity; registered ones pay no check
+            stale = vids >= len(self._v)
+            stale[~stale] = self.is_stale(vids[~stale], np.asarray(disk_versions)[~stale])
+            return stale
         deleted = (cur & _DELETE_BIT) != 0
         moved = (cur & _VERSION_MASK) != (np.asarray(disk_versions) & _VERSION_MASK)
         return deleted | moved | ~self._present[vids]
 
     # -- CAS (paper: atomic version bump guards concurrent reassign) ------
     def bump_cas(self, vid: int, expected_version: int) -> int | None:
-        """Atomically advance the version iff it still equals ``expected``.
-
-        Returns the new version, or ``None`` if the CAS failed (vector was
-        reassigned or deleted concurrently) — the caller must abort its
-        reassign, exactly as in §4.2.2.
-        """
-        cur = int(self._v[vid])
-        if cur & _DELETE_BIT or (cur & _VERSION_MASK) != expected_version:
-            return None
-        new = (cur + 1) & _VERSION_MASK  # 7-bit wrap-around
-        self._v[vid] = (cur & _DELETE_BIT) | new
-        return new
+        """:meth:`bump_cas_many` of one vid: the new version, or ``None`` if
+        the CAS failed."""
+        ok, new = self.bump_cas_many(np.array([vid]), np.array([expected_version]))
+        return int(new[0]) if ok[0] else None
 
     def bump_cas_many(self, vids: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`bump_cas` of each of the *distinct* ``vids`` against its
-        ``expected`` version. Returns ``(ok, new)``: whether each CAS won,
-        and its new version (0 where it lost)."""
+        """Atomically advance the version of each of the *distinct* ``vids``
+        iff it still equals its ``expected`` version. Returns ``(ok, new)``:
+        whether each CAS won, and its new version (0 where it lost). A CAS
+        fails if the vector was reassigned or deleted concurrently, and the
+        caller must abort that reassign, exactly as in §4.2.2."""
         vids = np.asarray(vids, dtype=np.int64)
         cur = self._v[vids]
         ok = ((cur & _DELETE_BIT) == 0) & ((cur & _VERSION_MASK) == np.asarray(expected))

@@ -339,7 +339,7 @@ def run_f9_spark_leg(
                 "splits": st.splits - before.splits,
                 "merges": st.merges - before.merges,
                 "reassign_moved": st.reassign_moved - before.reassign_moved,
-                "max_posting": int(sizes["n_live"].max()),
+                "max_posting": max(sizes.values()),
                 "n_postings": len(idx.centroid_index),
             }
         )

@@ -9,12 +9,16 @@ is Spark's own:
 - :func:`build_index` and :func:`insert_batch`, the core's calls followed
   by one Parquet file of their rows, written with Arrow on the driver;
 - the metadata commit (:func:`commit`) and :func:`load_index`;
-- the live view as DataFrames, which read the index's version map and
-  alive posting ids, for compaction and inspection;
-- :func:`compact`, a Spark rewrite, and :func:`rebalance`.
+- :func:`live_rows`, the index's one live filter (``get_batch``, then
+  ``SPFreshIndex.live_rows``) over every alive posting, which
+  :func:`live_sizes` counts and :func:`compact` writes with Arrow as a new
+  dataset generation;
+- :func:`rebalance`.
 
-Deletes are the core's ``SPFreshIndex.delete``: tombstones in the version
-map, with no Parquet write (rows go at the next compaction).
+No call here launches a Spark job: maintenance reads and writes Parquet
+with Arrow on the driver, and only the search plan (:mod:`search`) runs
+on Spark. Deletes are the core's ``SPFreshIndex.delete``: tombstones in
+the version map, with no Parquet write (rows go at the next compaction).
 """
 from __future__ import annotations
 
@@ -24,12 +28,11 @@ import re
 import shutil
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
+from repro.blockstore.controller import Posting
 from repro.core.spfresh import EngineStats, SPFreshConfig, SPFreshIndex
-from repro.spark_index.store import SparkPostingStore, arrow_table
+from repro.spark_index.store import SparkPostingStore
 
 
 def build_index(
@@ -80,51 +83,33 @@ def load_index(spark: SparkSession, root: str) -> SPFreshIndex:
     return idx
 
 
-# -- the live view as DataFrames -----------------------------------------
-def versions_df(idx: SPFreshIndex) -> DataFrame:
-    """Version map as (vid, cur_version, deleted) for live-row joins."""
-    vids, versions, deleted = idx.version_map.entries()
-    table = arrow_table(
-        vid=vids.astype(np.int64), cur_version=versions.astype(np.int32), deleted=deleted
-    )
-    return idx.controller.spark.createDataFrame(table)
-
-
-def live_df(idx: SPFreshIndex) -> DataFrame:
-    """Live posting rows: version matches, not tombstoned, and the
-    posting still exists (split/merged-away pids are filtered by the
-    alive-pid join, the dataset analog of ``controller.delete``). One
-    row per (pid, vid) — the Spark twin of ``SPFreshIndex.live``. Compaction
-    and ``live_sizes`` read it; a search scans the rows its read step holds."""
-    store = idx.controller
-    alive = store.spark.createDataFrame(arrow_table(pid=idx.centroid_index.alive_ids))
-    joined = (
-        store.postings_df()
-        .join(versions_df(idx), on="vid", how="inner")
-        .join(alive, on="pid", how="inner")
-        .where((F.col("version") == F.col("cur_version")) & (~F.col("deleted")))
-        .select("pid", "vid", "version", "vec")
-    )
-    return joined.dropDuplicates(["pid", "vid"])
-
-
-def live_sizes(idx: SPFreshIndex) -> pd.DataFrame:
-    """(pid, n_live) for every alive posting, including empty ones. For
-    inspection: the schedule reads the store's lengths."""
-    sizes = live_df(idx).groupBy("pid").agg(F.count("*").alias("n_live")).toPandas()
-    alive = pd.DataFrame({"pid": idx.centroid_index.alive_ids.astype(np.int64)})
-    out = alive.merge(sizes, on="pid", how="left").fillna({"n_live": 0})
-    out["n_live"] = out["n_live"].astype(np.int64)
-    return out
-
-
 # -- maintenance (§4.2) ---------------------------------------------------
+def live_rows(idx: SPFreshIndex) -> tuple[list[int], np.ndarray, Posting]:
+    """The index's live filter over the whole store: one ``get_batch`` of
+    every alive posting, then ``SPFreshIndex.live_rows``. Returns the
+    alive pids, each one's live count and their live rows, posting by
+    posting in that order; no Spark job runs."""
+    pids = idx.centroid_index.alive_ids.tolist()
+    postings, _ = idx.controller.get_batch([pids])
+    fetched = [postings[pid] for pid in pids]
+    _, live, n_live = idx.live_rows(fetched)
+    rows = Posting.concat(fetched).take(live) if len(live) else Posting.empty(idx.config.dim)
+    return pids, n_live, rows
+
+
+def live_sizes(idx: SPFreshIndex) -> dict[int, int]:
+    """``{pid: n_live}`` for every alive posting, empty ones included. For
+    inspection: the schedule reads the store's lengths."""
+    pids, n_live, _ = live_rows(idx)
+    return dict(zip(pids, n_live.tolist()))
+
+
 def compact(idx: SPFreshIndex) -> None:
     """Rewrite the dataset keeping only live rows: the storage GC of the
-    rows that the jobs' puts, moves and merges left stale. The live
-    DataFrame is resolved against the current dataset generation and
-    written to the next one, so no row passes through the driver."""
-    idx.controller.write_postings(live_df(idx))
+    rows that the jobs' puts, moves and merges left stale, as one Arrow
+    file of the next dataset generation."""
+    pids, n_live, rows = live_rows(idx)
+    idx.controller.compact(np.repeat(pids, n_live), rows)
 
 
 def rebalance(idx: SPFreshIndex) -> EngineStats:

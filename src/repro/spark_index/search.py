@@ -90,7 +90,7 @@ def duckdb_twin_sql(nprobe: int, k: int) -> str:
     ), sel AS (
         SELECT qid, pid FROM probes WHERE rnk <= {nprobe}
     ), live AS (
-        -- alive-pid join mirrors engine.live_df: rows of
+        -- alive-pid join mirrors engine.live_rows: rows of
         -- split/merged-away postings are dead even if their version holds
         SELECT DISTINCT p.pid, p.vid, p.vec
         FROM postings p

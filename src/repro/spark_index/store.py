@@ -18,19 +18,21 @@ each call returns 0 simulated µs:
   dataset, at the end of an insert batch and before a metadata commit;
 - ``put`` is an append plus a length reset. The Local Rebuilder puts only a
   posting's own live rows (GC) or a fresh pid (split), so the rows a put
-  replaces are stale or duplicates: the live view drops them, and
+  replaces are stale or duplicates: the live filter drops them, and
   compaction deletes them;
 - ``delete`` drops the length; the pid's rows die with its centroid.
 
-Compaction, a Spark job, writes the live rows as a new dataset
-generation, a ``postings_v{n}`` dir, and leaves the old one untouched
-(copy-on-write at dataset granularity). It changes no length: it is
-storage GC, which the schedule never sees. A generation thus mixes files
-of both writers; both readers skip Spark's ``_SUCCESS`` and ``.crc`` files.
+:meth:`SparkPostingStore.compact` writes the live rows, with Arrow, as the
+only file of a new dataset generation, a ``postings_v{n}`` dir, and leaves
+the old one untouched (copy-on-write at dataset granularity). It changes
+no length: it is storage GC, which the schedule never sees. Every file is
+written by Arrow, hidden and then renamed; Spark reads the dataset only
+for ``postings_df``.
 """
 from __future__ import annotations
 
 import os
+import shutil
 import uuid
 
 import numpy as np
@@ -88,33 +90,43 @@ class SparkPostingStore:
     def postings_path(self) -> str:
         return os.path.join(self.root, f"postings_v{self._gen}")
 
-    def write_postings(self, df: DataFrame) -> None:
-        """Write a full new dataset generation and switch to it."""
-        self._gen += 1
-        df.write.mode("overwrite").parquet(self.postings_path)
-
-    def flush(self) -> None:
-        """Write the buffered appends with Arrow as one new Parquet file,
-        named by a fresh uuid so no reload reuses a name; it is written
-        hidden, which both readers skip, then renamed, so a crash leaves no
-        partial file."""
-        parts = [(pid, p) for pid, p in self._buffer if len(p)]
-        self._buffer = []
-        if not parts:
-            return
-        rows = Posting.concat([p for _, p in parts])
-        pids = np.repeat([pid for pid, _ in parts], [len(p) for _, p in parts])
+    def _write(self, path: str, pids: np.ndarray, rows: Posting) -> None:
+        """Write ``rows``, each in posting ``pids[i]``, with Arrow as one new
+        Parquet file in ``path``, named by a fresh uuid so no reload reuses
+        a name; it is written hidden, which both readers skip, then renamed,
+        so a crash leaves no partial file."""
         table = arrow_table(
             pid=pids.astype(np.int64),
             vid=rows.vids.astype(np.int64),
             version=rows.versions.astype(np.int32),
             vec=rows.vecs,
         )
-        os.makedirs(self.postings_path, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
         name = f"{uuid.uuid4().hex}.parquet"
-        tmp = os.path.join(self.postings_path, "." + name)
+        tmp = os.path.join(path, "." + name)
         pq.write_table(table, tmp)
-        os.replace(tmp, os.path.join(self.postings_path, name))
+        os.replace(tmp, os.path.join(path, name))
+
+    def flush(self) -> None:
+        """Write the buffered appends as one new file of the generation."""
+        parts = [(pid, p) for pid, p in self._buffer if len(p)]
+        self._buffer = []
+        if parts:
+            pids = np.repeat([pid for pid, _ in parts], [len(p) for _, p in parts])
+            self._write(self.postings_path, pids, Posting.concat([p for _, p in parts]))
+
+    def compact(self, pids: np.ndarray, rows: Posting) -> None:
+        """Storage GC: write ``rows``, each in posting ``pids[i]`` and read
+        from this generation after a flush, as the only file of the next
+        generation, then switch to it. Whatever a crashed compaction left in
+        that directory is removed first, and the switch comes after the
+        rename, so a crash leaves the current generation in use. No length
+        changes: the schedule never sees a compaction."""
+        path = os.path.join(self.root, f"postings_v{self._gen + 1}")
+        if os.path.exists(path):
+            shutil.rmtree(path)
+        self._write(path, pids, rows)
+        self._gen += 1
 
     def postings_df(self) -> DataFrame:
         self.flush()

@@ -4,11 +4,13 @@ A "crash" drops every live in-memory object; recovery loads the latest
 snapshot and replays the WAL. For the core engine the snapshot is the
 pickled engine (its state is exactly the paper's in-memory structures +
 simulated disk); for the Spark engine it is the metadata ``commit`` (the
-pickled index, without posting rows) plus the Parquet dataset generation
-(whose append-only rows are idempotent under replay because ``live_df``
-dedupes on (pid, vid)).
+pickled index, without posting rows) plus the Parquet dataset generation,
+whose append-only rows are idempotent under replay: the one live filter,
+``SPFreshIndex.live_rows``, dedupes on (pid, vid), and reads the rows of a
+vid whose registration the crash lost as stale until the replay.
 """
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from repro.blockstore.wal import RecoveryLog
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.spark_index import search as sp_search
 from repro.spark_index.engine import (
-    build_index, commit, insert_batch, live_df, live_sizes, load_index, rebalance,
+    build_index, commit, insert_batch, live_rows, live_sizes, load_index, rebalance,
 )
 from repro.synth_data import clustered_vectors
 
@@ -125,7 +127,8 @@ class TestSparkEngineRecovery:
 
     def test_replayed_appends_are_idempotent_in_live_view(self, spark, tmp_path):
         """Replaying an insert that already reached Parquet before the
-        crash double-appends rows; live_df's (pid, vid) dedupe absorbs it."""
+        crash double-appends rows; the live filter's (pid, vid) dedupe
+        absorbs it."""
         vecs = clustered_vectors(n=200, dim=8, n_clusters=4, seed=2).astype(np.float64)
         root = str(tmp_path / "idx2")
         st = build_index(spark, vecs, np.arange(200), cfg(), root)
@@ -137,10 +140,10 @@ class TestSparkEngineRecovery:
         insert_batch(st2, np.arange(900, 905), new)
         stored = st2.controller.postings_df().where("vid >= 900").groupBy("pid", "vid").count().toPandas()
         assert (stored["count"] == 2).all()
-        live = live_df(st2).toPandas()
-        counts = live.groupby(["pid", "vid"]).size()
-        assert (counts == 1).all()
-        assert set(live["vid"]) == set(range(200)) | set(range(900, 905))
+        pids, n_live, rows = live_rows(st2)
+        counts = Counter(zip(np.repeat(pids, n_live).tolist(), rows.vids.tolist()))
+        assert set(counts.values()) == {1}
+        assert set(rows.vids.tolist()) == set(range(200)) | set(range(900, 905))
 
     def test_rebalance_after_recovery_converges(self, spark, tmp_path):
         vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=4).astype(np.float64)
@@ -151,6 +154,33 @@ class TestSparkEngineRecovery:
         st2 = load_index(spark, root)  # crash before rebalance
         insert_batch(st2, np.arange(3000, 3120), new)  # WAL replay
         rebalance(st2)
-        assert live_sizes(st2)["n_live"].max() <= st2.config.split_limit
-        live_vids = set(live_df(st2).toPandas()["vid"].unique())
-        assert live_vids == set(range(300)) | set(range(3000, 3120))
+        assert max(live_sizes(st2).values()) <= st2.config.split_limit
+        _, _, rows = live_rows(st2)
+        assert set(rows.vids.tolist()) == set(range(300)) | set(range(3000, 3120))
+
+    def test_rows_of_vids_a_crash_unregistered_are_stale(self, spark, tmp_path):
+        """An insert batch flushed its rows, then a crash lost the commit
+        that registered its vids, which lie past the reloaded version map's
+        capacity. Until the WAL replays the insert, those rows are stale: a
+        search that reads them and a rebalance whose split jobs and
+        compaction read them raise nothing and return none of those vids.
+        After the replay a search finds each one."""
+        vecs = clustered_vectors(n=300, dim=8, n_clusters=4, seed=4).astype(np.float64)
+        root = str(tmp_path / "idx4")
+        st = build_index(spark, vecs, np.arange(300), cfg(), root)
+        more = clustered_vectors(n=120, dim=8, n_clusters=4, seed=10).astype(np.float64)
+        insert_batch(st, np.arange(300, 420), more)  # past the split limit
+        commit(st)
+        assert st.jobs
+        new = more[:20] + np.random.default_rng(11).normal(0, 0.5, (20, 8))  # in split postings
+        lost = np.arange(3000, 3020)
+        insert_batch(st, lost, new)
+        st2 = load_index(spark, root)  # crash before the next commit
+        for res in sp_search.search_results_matrix(st2, new, k=10):
+            assert not set(res.tolist()) & set(lost.tolist())
+        assert rebalance(st2).splits > 0
+        _, _, rows = live_rows(st2)
+        assert set(rows.vids.tolist()) == set(range(420))
+        insert_batch(st2, lost, new)  # WAL replay
+        for vid, res in zip(lost, sp_search.search_results_matrix(st2, new, k=3)):
+            assert vid in res

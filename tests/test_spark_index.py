@@ -23,8 +23,7 @@ from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
 from repro.spark_index import search as sp_search
 from repro.spark_index.engine import (
-    build_index, commit, compact, insert_batch, live_df, live_sizes, load_index, rebalance,
-    versions_df,
+    build_index, commit, compact, insert_batch, live_rows, live_sizes, load_index, rebalance,
 )
 from repro.synth_data import clustered_vectors, ground_truth_knn
 
@@ -60,11 +59,35 @@ def parquet_files(idx: SPFreshIndex) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.parquet")}
 
 
+def live_table(idx: SPFreshIndex) -> pd.DataFrame:
+    """The index's live rows as (pid, vid, version, vec), from its one live
+    filter (``engine.live_rows``: ``get_batch`` over every alive posting,
+    then ``SPFreshIndex.live_rows``), on either engine's store."""
+    pids, n_live, rows = live_rows(idx)
+    return pd.DataFrame({
+        "pid": np.repeat(np.asarray(pids, dtype=np.int64), n_live),
+        "vid": rows.vids.astype(np.int64),
+        "version": rows.versions.astype(np.int32),
+        "vec": list(rows.vecs.astype(np.float64)),
+    })
+
+
+def live_postings(idx: SPFreshIndex) -> dict[int, list[int]]:
+    """Every alive posting's live vids, sorted."""
+    out = {int(p): [] for p in idx.centroid_index.alive_ids}
+    for p, g in live_table(idx).groupby("pid")["vid"]:
+        out[int(p)] = sorted(g.tolist())
+    return out
+
+
 def oracle_tables(idx, queries=None):
     alive = idx.centroid_index.alive_ids
+    vids, versions, deleted = idx.version_map.entries()
     tables = {
         "postings": idx.controller.postings_df().toPandas(),
-        "versions": versions_df(idx).toPandas(),
+        "versions": pd.DataFrame(
+            {"vid": vids, "cur_version": versions.astype(np.int32), "deleted": deleted}
+        ),
         "centroids": pd.DataFrame(
             {"pid": alive, "cvec": idx.centroid_index.centroids(alive).tolist()}
         ),
@@ -81,12 +104,11 @@ def oracle_tables(idx, queries=None):
 
 class TestBuild:
     def test_posting_sizes_bounded(self, index):
-        sizes = live_sizes(index)
-        assert sizes["n_live"].max() <= index.config.split_limit
+        assert max(live_sizes(index).values()) <= index.config.split_limit
 
     def test_every_vector_present(self, index, base_data):
         vecs, vids = base_data
-        live = live_df(index).toPandas()
+        live = live_table(index)
         assert set(live["vid"].unique()) == set(vids.tolist())
 
     def test_primary_assignment_is_npa_oracle(self, spark, index, base_data):
@@ -116,7 +138,7 @@ class TestBuild:
         cents = index.centroid_index.centroids(alive)
         _, nearest = closure_assign(vecs, cents, max_replicas=1, eps=0.0)
         primary = dict(zip(vids.tolist(), alive[nearest].tolist()))
-        live = live_df(index).toPandas()
+        live = live_table(index)
         member = live.groupby("vid")["pid"].apply(set).to_dict()
         assert all(primary[v] in member[v] for v in primary)
 
@@ -151,14 +173,14 @@ class TestLiveSemantics:
         vecs, vids = base_data
         st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "t1"))
         delete(st, np.array([5, 6]))
-        live = live_df(st).toPandas()
+        live = live_table(st)
         assert not set(live["vid"]) & {5, 6}
 
     def test_live_df_matches_oracle(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "t2"))
         delete(st, np.arange(0, 50))
-        spark_live = live_df(st).select("pid", "vid", "version")
+        spark_live = spark.createDataFrame(live_table(st)[["pid", "vid", "version"]])
         sql = """
         SELECT DISTINCT p.pid, p.vid, p.version
         FROM postings p
@@ -172,7 +194,7 @@ class TestLiveSemantics:
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "t3"))
         st.version_map.bump_cas(7, 0)  # simulate a reassign that moved vid 7
-        live = live_df(st).toPandas()
+        live = live_table(st)
         assert 7 not in set(live["vid"])  # its on-disk rows are version 0
 
 
@@ -223,7 +245,7 @@ class TestUpdater:
         alive = st.centroid_index.alive_ids
         cents = st.centroid_index.centroids(alive)
         _, nearest = closure_assign(new, cents, max_replicas=1, eps=0.0)
-        member = live_df(st).toPandas().groupby("vid")["pid"].apply(set).to_dict()
+        member = live_table(st).groupby("vid")["pid"].apply(set).to_dict()
         assert all(p in member[v] for v, p in zip(range(2000, 2020), alive[nearest].tolist()))
 
     def test_insert_appends_without_rewrite(self, spark, base_data, tmp_path):
@@ -237,9 +259,9 @@ class TestUpdater:
         assert len(after) == len(before) + 1  # the batch's one Parquet append
 
     def test_get_batch_reads_both_writers_of_a_generation(self, spark, base_data, tmp_path):
-        """After a compaction (Spark writes the generation) and an insert
-        batch (Arrow appends to it), ``get_batch`` reads the rows that
-        Spark reads, and skips Spark's ``_SUCCESS`` and ``.crc`` files."""
+        """After a compaction (which writes the generation's first file) and
+        an insert batch (which appends one more), ``get_batch`` reads the
+        rows that Spark reads."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "w"))
         delete(st, np.arange(0, 30))
@@ -247,11 +269,6 @@ class TestUpdater:
         new = clustered_vectors(n=20, dim=8, n_clusters=8, seed=20).astype(np.float64)
         insert_batch(st, np.arange(4000, 4020), new)
         store = st.controller
-        names = os.listdir(store.postings_path)
-        assert "_SUCCESS" in names and any(n.endswith(".crc") for n in names)
-        written = [n for n in names if n.endswith(".parquet")]
-        assert any(n.startswith("part-") for n in written)  # Spark's
-        assert any(not n.startswith("part-") for n in written)  # Arrow's
         pids = [int(p) for p in st.centroid_index.alive_ids]
         postings, _ = store.get_batch([pids])
         got = Counter(
@@ -308,17 +325,17 @@ class TestRebalance:
 
     def test_sizes_bounded_after_rebalance(self, rebalanced):
         st, _ = rebalanced
-        assert live_sizes(st)["n_live"].max() <= st.config.split_limit
+        assert max(live_sizes(st).values()) <= st.config.split_limit
 
     def test_no_vector_lost(self, rebalanced, base_data):
         st, _ = rebalanced
-        live_vids = set(live_df(st).toPandas()["vid"].unique())
+        live_vids = set(live_table(st)["vid"])
         assert live_vids == set(range(800)) | set(range(5000, 5250))
 
     def test_npa_mostly_restored(self, rebalanced, base_data):
         st, _ = rebalanced
         vecs, _ = base_data
-        live = live_df(st).toPandas()
+        live = live_table(st)
         member = live.groupby("vid")["pid"].apply(set).to_dict()
         alive = st.centroid_index.alive_ids
         cents = st.centroid_index.centroids(alive)
@@ -354,7 +371,7 @@ class TestRebalance:
         stats = rebalance(st)
         assert stats.merges > 0
         assert len(st.centroid_index) < n0
-        live_vids = set(live_df(st).toPandas()["vid"].unique())
+        live_vids = set(live_table(st)["vid"])
         assert live_vids == set(range(330, 400))
 
     def test_spann_plus_config_only_compacts(self, spark, base_data, tmp_path):
@@ -369,8 +386,8 @@ class TestRebalance:
         stats = rebalance(st)
         assert (stats.splits, stats.merges, stats.reassign_moved) == (0, 0, 0)
         assert len(st.centroid_index) == n_postings
-        assert live_sizes(st)["n_live"].max() > st.config.split_limit
-        assert st.controller.postings_df().count() == live_df(st).count()  # stale rows compacted
+        assert max(live_sizes(st).values()) > st.config.split_limit
+        assert st.controller.postings_df().count() == len(live_table(st))  # stale rows compacted
         live = np.arange(40, 400)
         res = sp_search.search_results_matrix(st, np.vstack([vecs[live], new]), k=3)
         for vid, r in zip(np.concatenate([live, np.arange(5000, 5250)]), res):
@@ -384,8 +401,45 @@ class TestRebalance:
         compact(st)
         after = st.controller.postings_df().count()
         assert after < before
-        live_vids = set(live_df(st).toPandas()["vid"].unique())
+        live_vids = set(live_table(st)["vid"])
         assert live_vids == set(range(100, 200))
+
+    def test_compact_removes_a_crashed_compactions_leftover(self, spark, base_data, tmp_path):
+        """A compaction that crashed before the commit recording it left a
+        file in the next generation's directory. The next compaction
+        removes it first: its generation is its one file of live rows, as
+        both readers see, and no length changes."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "c2"))
+        delete(st, np.arange(0, 50))
+        store, lengths = st.controller, st.posting_lengths()
+        leftover = Path(store.root) / f"postings_v{store._gen + 1}"
+        leftover.mkdir()
+        for name, data in parquet_files(st).items():  # every row, deleted ones included
+            (leftover / f"crashed-{name}").write_bytes(data)
+        compact(st)
+        assert store.postings_path == str(leftover) and len(parquet_files(st)) == 1
+        assert st.posting_lengths() == lengths
+        live = Counter(live_table(st)["vid"].tolist())
+        assert set(live) == set(range(50, 200))
+        postings, _ = store.get_batch([st.centroid_index.alive_ids.tolist()])
+        assert Counter(v for p in postings.values() for v in p.vids.tolist()) == live
+        assert Counter(store.postings_df().toPandas()["vid"].tolist()) == live
+
+    def test_compact_with_every_vector_deleted_leaves_an_empty_generation(
+        self, spark, base_data, tmp_path
+    ):
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:200], vids[:200], small_cfg(), str(tmp_path / "c3"))
+        delete(st, vids[:200])
+        gen = st.controller._gen
+        compact(st)
+        assert st.controller._gen == gen + 1
+        pids = st.centroid_index.alive_ids.tolist()
+        postings, _ = st.controller.get_batch([pids])
+        assert list(postings) == pids and all(len(p) == 0 for p in postings.values())
+        assert st.controller.postings_df().count() == 0
+        assert set(live_sizes(st).values()) == {0}
 
 
 class TestCrossEngine:
@@ -399,7 +453,7 @@ class TestCrossEngine:
         st = build_index(spark, vecs[:300], vids[:300], cfg, str(tmp_path / "x1"))
         core = SPFreshIndex.build(vecs[:300].astype(np.float32), vids[:300], cfg)
         assert min(core.posting_lengths().values()) > 0
-        assert live_postings(st) == core_live_postings(core)
+        assert live_postings(st) == live_postings(core)
 
     def test_recall_parity_after_updates(self, spark, base_data, tmp_path):
         """After the same update stream, both engines keep recall within a
@@ -447,8 +501,8 @@ class TestCrossEngine:
         stats = rebalance(st)
         assert core.stats.splits == stats.splits == 1
         assert core.stats.reassign_moved == stats.reassign_moved > 0
-        assert live_sizes(st)["n_live"].max() <= cfg.split_limit  # no cascade pending
-        assert live_postings(st) == core_live_postings(core)
+        assert max(live_sizes(st).values()) <= cfg.split_limit  # no cascade pending
+        assert live_postings(st) == live_postings(core)
 
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=18).astype(np.float32)
         spark_res = sp_search.search_results_matrix(st, qs.astype(np.float64), k=10)
@@ -476,7 +530,7 @@ class TestCrossEngine:
         for epoch in range(5):
             pids = core.centroid_index.alive_ids
             emptied, thinned = (int(p) for p in rng.choice(pids, 2, replace=False))
-            held = core_live_postings(core)
+            held = live_postings(core)
             dels = np.concatenate([
                 held[emptied], held[thinned][1:],
                 rng.choice(sorted(core._vecs), 20, replace=False),
@@ -504,7 +558,7 @@ class TestCrossEngine:
             rebalance(st)
 
             np.testing.assert_array_equal(st.centroid_index.alive_ids, core.centroid_index.alive_ids)
-            assert live_postings(st) == core_live_postings(core)
+            assert live_postings(st) == live_postings(core)
             assert st.posting_lengths() == core.posting_lengths()
             assert not core.jobs and not st.jobs
             assert counts(st.stats) == counts(core.stats)
@@ -519,26 +573,10 @@ class TestCrossEngine:
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "x3"))
         pid = int(st.centroid_index.alive_ids[0])
-        held = live_df(st).where(F.col("pid") == pid).toPandas()["vid"]
-        delete(st, held.to_numpy())
+        delete(st, live_postings(st)[pid])
         sp_search.search_results_matrix(st, st.centroid_index.centroids([pid]), k=5)
         assert ("merge", pid) in st._pending
         assert rebalance(st).merges == 1 and pid not in st.centroid_index
-
-
-def live_postings(st: SPFreshIndex) -> dict[int, list[int]]:
-    """Every alive posting's live vids, sorted, from the Spark live view."""
-    out = {int(p): [] for p in st.centroid_index.alive_ids}
-    for p, g in live_df(st).toPandas().groupby("pid")["vid"]:
-        out[int(p)] = sorted(g.tolist())
-    return out
-
-
-def core_live_postings(core: SPFreshIndex) -> dict[int, list[int]]:
-    return {
-        p: sorted(core.live(core.controller.get(p)[0]).vids.tolist())
-        for p in core.controller.posting_ids
-    }
 
 
 def counts(stats) -> dict:
@@ -623,8 +661,9 @@ class TestJobCount:
 
     def test_rebalance_launches_only_compaction_jobs(self, spark, base_data, tmp_path):
         """The split, reassign and merge jobs of a rebalance read and write
-        postings with Arrow, so its only Spark jobs are its compaction's:
-        as many as a second compaction of the same rows launches."""
+        postings with Arrow, and so does its compaction, which writes the
+        live rows of one Arrow read: a rebalance that splits launches no
+        Spark job, and neither does ``live_sizes``."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j4"))
         new = clustered_vectors(n=120, dim=8, n_clusters=8, seed=16).astype(np.float64)
@@ -632,6 +671,6 @@ class TestJobCount:
         with SparkJobs(spark) as counted:
             stats = rebalance(st)
         assert stats.splits > 0
-        with SparkJobs(spark) as compaction:
-            compact(st)
-        assert counted.n == compaction.n == 5
+        with SparkJobs(spark) as sizing:
+            live_sizes(st)
+        assert counted.n == sizing.n == 0

@@ -163,6 +163,16 @@ class TestStaleness:
         vm.add(0)
         assert vm.is_stale(np.array([3]), np.array([0]))[0]
 
+    def test_vid_past_capacity_is_stale(self):
+        """A row of a vid the map never registered, past its capacity, is
+        stale like any unregistered one; the rows beside it keep theirs."""
+        vm = VersionMap(capacity=4)
+        vm.add(1)
+        vm.delete(1)
+        vm.add(2)
+        stale = vm.is_stale(np.array([2, 5000, 1, 3]), np.zeros(4, dtype=np.int16))
+        np.testing.assert_array_equal(stale, [False, True, True, True])
+
     def test_vectorised_mixed_batch(self):
         vm = VersionMap()
         for v in range(5):
