@@ -6,10 +6,11 @@ per-block latency under a bounded-parallelism channel model and counts
 IOPS. :class:`repro.blockstore.controller.BlockController` reproduces the
 paper's storage engine behaviour on top of it: in-memory block mapping,
 free block pool, last-block read-modify-write APPEND, bulk PUT with
-copy-on-write release, and ParallelGET batching.
+copy-on-write release, ParallelGET batching into one flat row batch, and
+a cache of each allocated block's squared norms.
 """
-from repro.blockstore.controller import BlockController, Posting
+from repro.blockstore.controller import BlockController, Posting, PostingBatch
 from repro.blockstore.ssd import SimulatedSSD
 from repro.blockstore.wal import RecoveryLog
 
-__all__ = ["BlockController", "Posting", "SimulatedSSD", "RecoveryLog"]
+__all__ = ["BlockController", "Posting", "PostingBatch", "SimulatedSSD", "RecoveryLog"]

@@ -8,7 +8,9 @@ the paper's: GET, ParallelGET, APPEND (read-modify-write of the last block
 only), PUT (bulk write + atomic mapping swap, releasing old blocks), plus
 DELETE. All writes are copy-on-write: a block is never updated in place,
 so released blocks can be parked in a pre-release buffer between snapshots
-for the §4.4 crash-recovery roll-back.
+for the §4.4 crash-recovery roll-back. Because an allocated block never
+changes, the controller caches each block's squared vector norms from its
+first read until its release.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.blockstore.ssd import SimulatedSSD
+from repro.core.distances import sq_norms
 
 # Paper: a block-mapping entry (length + block offsets) costs ~40 B.
 MAPPING_ENTRY_BYTES = 40
@@ -48,7 +51,7 @@ class Posting:
     def concat(parts: list["Posting"]) -> "Posting":
         """One posting of the non-empty parts, in order; a single such part
         is returned as it is, not copied."""
-        parts = [p for p in parts if len(p)]
+        parts = [p for p in parts if len(p.vids)]
         if not parts:
             raise ValueError("concat of empty parts needs a dim; use Posting.empty")
         if len(parts) == 1:
@@ -56,7 +59,7 @@ class Posting:
         return Posting(
             np.concatenate([p.vids for p in parts]),
             np.concatenate([p.versions for p in parts]),
-            np.vstack([p.vecs for p in parts]),
+            np.concatenate([p.vecs for p in parts]),
         )
 
     def slice(self, lo: int, hi: int) -> "Posting":
@@ -64,6 +67,27 @@ class Posting:
 
     def take(self, idx: np.ndarray) -> "Posting":
         return Posting(self.vids[idx], self.versions[idx], self.vecs[idx])
+
+
+@dataclass
+class PostingBatch:
+    """The rows of a batch of ParallelGETs, read-only: the distinct
+    requested ``pids`` in first-seen order, each one's length (``lens``),
+    their tuples concatenated in that order (``rows``) and each row's
+    squared norm, the :func:`~repro.core.distances.sq_norms` of its vector
+    as float64 (``norms``)."""
+
+    pids: np.ndarray  # int64 (p,)
+    lens: np.ndarray  # int64 (p,)
+    rows: Posting  # (lens.sum(),)
+    norms: np.ndarray  # float64 (lens.sum(),)
+
+    def __post_init__(self) -> None:
+        for a in (self.rows.vids, self.rows.versions, self.rows.vecs, self.norms):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.pids)
 
 
 @dataclass
@@ -94,6 +118,9 @@ class BlockController:
         # pool only after the *next* snapshot (§4.4 block-level CoW).
         self.pre_release: list[int] = []
         self.defer_release = False
+        # block id → its rows' squared norms, filled by the first read of the
+        # block and dropped at its release, so a reused id never serves them
+        self._norms: dict[int, np.ndarray] = {}
 
     # -- free pool --------------------------------------------------------
     def _alloc(self, n: int) -> list[int]:
@@ -106,6 +133,8 @@ class BlockController:
         return out
 
     def _release(self, block_ids: list[int]) -> None:
+        for b in block_ids:
+            self._norms.pop(b, None)
         if self.defer_release:
             self.pre_release.extend(block_ids)
         else:
@@ -120,8 +149,8 @@ class BlockController:
 
     # -- helpers ----------------------------------------------------------
     def _chunk(self, posting: Posting) -> list[Posting]:
-        """Block payloads of a posting, read-only: GET hands a one-block
-        posting's payload to the caller without a copy."""
+        """Block payloads of a posting, read-only: a read of one block
+        hands its payload to the caller without a copy."""
         epb = self.entries_per_block
         chunks = [posting.slice(i, i + epb) for i in range(0, len(posting), epb)]
         for c in chunks:
@@ -160,44 +189,70 @@ class BlockController:
 
     def get(self, pid: int) -> tuple[Posting, float]:
         """GET: read all blocks of a posting (one batched I/O). The result
-        may share the stored blocks' read-only arrays."""
-        postings, (cost,) = self.get_batch([[pid]])
-        return postings[pid], cost
+        may share the stored blocks' read-only arrays. It fills no norm:
+        its callers, the split and merge jobs, form no distance to it."""
+        _, parts, _, (cost,) = self._read([[pid]])
+        return Posting.concat(parts) if parts else Posting.empty(self.dim), cost
 
     def get_many(self, pids: list[int]) -> tuple[dict[int, Posting], float]:
-        """ParallelGET: fetch several postings in one batched I/O."""
-        postings, (cost,) = self.get_batch([pids])
-        return postings, cost
+        """ParallelGET: fetch several postings in one batched I/O, by pid,
+        each a read-only view of the batch's rows."""
+        batch, (cost,) = self.get_batch([pids])
+        ends = np.cumsum(batch.lens).tolist()
+        return {
+            pid: batch.rows.slice(hi - n, hi)
+            for pid, n, hi in zip(batch.pids.tolist(), batch.lens.tolist(), ends)
+        }, cost
 
-    def get_batch(self, requests: list[list[int]]) -> tuple[dict[int, Posting], list[float]]:
+    def get_batch(self, requests: list[list[int]]) -> tuple[PostingBatch, list[float]]:
         """The ParallelGETs of a batch of requests, each a list of pids.
 
         Each request is charged as its own batched read of its postings'
-        blocks, or nothing when they hold none. Each distinct posting is
-        assembled once. Returns the postings in first-seen order and each
-        request's simulated µs.
+        blocks, or nothing when they hold none. Returns the distinct
+        postings as one :class:`PostingBatch` and each request's simulated
+        µs. The batch's norms are the blocks' cached ones; the blocks read
+        without them get theirs from one ``sq_norms`` call. A batch of one
+        block shares its stored arrays, which are read-only.
         """
-        out: dict[int, Posting] = {}
+        lens, parts, blocks, costs = self._read(requests)
+        missing = [i for i, b in enumerate(blocks) if b not in self._norms]
+        if missing:
+            fresh = sq_norms(np.concatenate([parts[i].vecs for i in missing]).astype(np.float64))
+            ends = np.cumsum([len(parts[i]) for i in missing]).tolist()
+            for i, lo, hi in zip(missing, [0] + ends, ends):
+                self._norms[blocks[i]] = fresh[lo:hi].copy()  # not a view: it outlives its batch
+        batch = PostingBatch(
+            np.fromiter(lens, dtype=np.int64, count=len(lens)),
+            np.fromiter(lens.values(), dtype=np.int64, count=len(lens)),
+            Posting.concat(parts) if parts else Posting.empty(self.dim),
+            np.concatenate([self._norms[b] for b in blocks]) if blocks else np.empty(0),
+        )
+        return batch, costs
+
+    def _read(
+        self, requests: list[list[int]]
+    ) -> tuple[dict[int, int], list[Posting], list[int], list[float]]:
+        """One batched device read per request that holds blocks. Returns
+        the distinct pids' lengths in first-seen order, their block
+        payloads and block ids in that order, and each request's µs."""
+        lens: dict[int, int] = {}
+        parts: list[Posting] = []
+        blocks: list[int] = []
         costs: list[float] = []
         for pids in requests:
             entries = [self._mapping[pid] for pid in pids]
-            blocks = [b for e in entries for b in e.block_ids]
-            payloads, cost = self.ssd.read(blocks) if blocks else ([], 0.0)
+            ids = [b for e in entries for b in e.block_ids]
+            payloads, cost = self.ssd.read(ids) if ids else ([], 0.0)
             costs.append(cost)
             at = 0
             for pid, e in zip(pids, entries):
                 nb = len(e.block_ids)
-                if pid not in out:
-                    out[pid] = self._assemble(payloads[at : at + nb])
+                if pid not in lens:
+                    lens[pid] = e.length
+                    parts += payloads[at : at + nb]
+                    blocks += e.block_ids
                 at += nb
-        return out, costs
-
-    def _assemble(self, payloads: list[Posting]) -> Posting:
-        """A posting from its block payloads; a one-block posting is its
-        stored read-only payload, not a copy."""
-        if len(payloads) == 1:
-            return payloads[0]
-        return Posting.concat(payloads) if payloads else Posting.empty(self.dim)
+        return lens, parts, blocks, costs
 
     def append(self, pid: int, tail: Posting) -> float:
         """APPEND: RMW of the last block only, CoW, atomic mapping update.

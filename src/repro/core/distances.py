@@ -38,7 +38,10 @@ def pairwise_sq_l2(
 
     ``x_norms`` / ``y_norms`` are the rows' :func:`sq_norms` of float64
     ``x`` / ``y``, for a caller that keeps them between calls; the result
-    is the same bit for bit.
+    is the same bit for bit, because a row's norm depends on that row
+    alone. The centroid index keeps its centroids' norms; the Searcher's
+    scan passes the norms its ParallelGET returned, which the Block
+    Controller caches per block (the Parquet store computes them on read).
 
     ``out`` and ``work`` are C-contiguous (n, m) float64 buffers, for a
     caller that forms many blocks of distances and reuses its buffers:

@@ -20,11 +20,14 @@ probes the nprobe nearest postings via ParallelGET, filters stale
 replicas, and queues a merge job for every probed posting with fewer
 than ``merge_limit`` live tuples. It runs a batch of queries a slice at
 a time: a read step (:meth:`SPFreshIndex.probe`: one navigation GEMM,
-one batched ParallelGET that assembles each posting once, one staleness
-filter over the union and the merge trigger), then one distance GEMM
-over the distinct live vids and one exact top-k in ``(distance, vid)``
-order. The Spark search runs the same read step once per batch, then
-scans the live rows it read in SQL.
+one batched ParallelGET that returns the distinct postings' rows as one
+flat, read-only batch with each row's cached squared norm, one
+staleness filter over that batch and the merge trigger), then one
+distance GEMM over the distinct live vids, whose columns come from a
+dense mark table over the vid range and whose norms are the batch's,
+and one exact top-k in ``(distance, vid)`` order. The Spark search runs
+the same read step once per batch, then scans the live rows it read in
+SQL.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blockstore.controller import BlockController, Posting
+from repro.blockstore.controller import BlockController, Posting, PostingBatch
 from repro.blockstore.ssd import SimulatedSSD
 from repro.core import lire
 from repro.core.centroid_index import CentroidIndex
@@ -236,57 +239,60 @@ class SPFreshIndex:
 
     def probe(
         self, qs: np.ndarray
-    ) -> tuple[np.ndarray, dict[int, Posting], list[float], tuple | None]:
+    ) -> tuple[np.ndarray, PostingBatch, list[float], tuple | None]:
         """The Searcher's read step: one navigation GEMM, one ParallelGET per
-        query with each posting assembled once (``get_batch``), and one
-        staleness filter over the union, whose live counts go to the Local
-        Rebuilder's merge trigger in first-seen order (query order, then
-        navigation order). Returns each query's probed pids, the fetched
-        postings, each query's simulated I/O µs and their ``live_rows``
-        (``None`` when nothing was fetched)."""
+        query, all in one ``get_batch``, and one staleness filter over the
+        batch, whose live counts go to the Local Rebuilder's merge trigger
+        in first-seen order (query order, then navigation order). Returns
+        each query's probed pids, the batch, each query's simulated I/O µs
+        and the batch's ``live_rows`` (``None`` when nothing was fetched)."""
         probed = self.centroid_index.search_batch(qs, self.config.nprobe)
-        postings, ios = self.controller.get_batch(probed.tolist())
+        batch, ios = self.controller.get_batch(probed.tolist())
         for io in ios:
             self.stats.foreground_io_us += io
-        if not postings:
-            return probed, postings, ios, None
-        rows = self.live_rows(list(postings.values()))
-        self.read(list(postings), rows[2].tolist())
-        return probed, postings, ios, rows
+        if not len(batch):
+            return probed, batch, ios, None
+        rows = self.live_rows(batch.rows, batch.lens)
+        self.read(batch.pids.tolist(), rows[1].tolist())
+        return probed, batch, ios, rows
 
     def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
         """One slice of :meth:`search_batch`: the read step (:meth:`probe`),
         then one distance GEMM over the distinct live vids and one exact
         top-k in ``(distance, vid)`` order."""
-        probed, postings, ios, rows = self.probe(qs)
-        fetched = list(postings.values())
-        # slot[i, j]: the place of query i's j-th probe among the fetched postings
-        pids = np.fromiter(postings, dtype=np.int64, count=len(fetched))
-        by_pid = np.argsort(pids)
-        slot = by_pid[np.searchsorted(pids[by_pid], probed)]
-        on_disk = np.array([len(p.vids) for p in fetched], dtype=np.int64)
+        probed, batch, ios, rows = self.probe(qs)
+        # slot[i, j]: the place of query i's j-th probe among the batch's postings
+        place = np.empty(batch.pids.max(initial=-1) + 1, dtype=np.int64)
+        place[batch.pids] = np.arange(len(batch))
+        slot = place[probed]
         lats = self.latency.search_us(
             n_centroids_compared=len(self.centroid_index),
-            vectors_scanned=on_disk[slot].sum(axis=1),
+            vectors_scanned=batch.lens[slot].sum(axis=1),
             dim=self.config.dim,
             io_us=np.asarray(ios),
         )
         if rows is None:
             return [np.empty(0, dtype=np.int64) for _ in qs], lats
-        all_vids, live, n_live = rows
+        live, n_live = rows
         # each query's live rows (places in ``live``), posting by posting in navigation order
         lens = n_live[slot].ravel()
         begin = np.cumsum(n_live) - n_live
         at = np.repeat(begin[slot].ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
         query = np.repeat(np.arange(slot.size) // slot.shape[1], lens)
-        # one column per distinct live vid: every replica of a vid stores the same vector
-        vids, col = np.unique(all_vids[live], return_inverse=True)
+        # one column per distinct live vid, in vid order, from a mark table
+        # over the vid range: every replica of a vid stores the same vector
+        live_vids = batch.rows.vids[live]
+        mark = np.zeros(live_vids.max(initial=-1) + 1, dtype=bool)
+        mark[live_vids] = True
+        vids = np.flatnonzero(mark)
+        col = (np.cumsum(mark) - 1)[live_vids]
         rep = np.empty(len(vids), dtype=np.int64)
         rep[col] = live
-        d = pairwise_sq_l2(qs, np.concatenate([p.vecs for p in fetched])[rep].astype(np.float64))
-        cells = (query, col[at])
+        y = np.take(batch.rows.vecs, rep, axis=0).astype(np.float64)
+        d = pairwise_sq_l2(qs, y, y_norms=batch.norms[rep])
+        cells = query * len(vids) + col[at]  # flat places in ``d``
         held = np.full(d.shape, np.inf)  # +inf: no posting of the query holds the vid
-        held[cells] = d[cells]
+        held.reshape(-1)[cells] = d.reshape(-1)[cells]
         r, c = topk_per_row(held, k)
         return np.split(vids[c], np.searchsorted(r, np.arange(1, len(qs)))), lats
 
@@ -296,7 +302,8 @@ class SPFreshIndex:
     # One FIFO queue of split, merge and reassign jobs over the posting
     # store's calls (§4.3): ``exists``, ``length``, ``get``, ``get_batch``,
     # ``put``, ``append`` and ``delete``, each returning simulated µs
-    # (``get`` and ``get_batch`` with the postings). A split or merge job
+    # (``get`` with the posting's rows, ``get_batch`` with one flat
+    # ``PostingBatch`` of the distinct postings). A split or merge job
     # reads its posting with one ``get``; a reassign job reads the split
     # postings and their neighbours with one ``get_batch`` of two requests.
     # The Updater calls ``inserted`` after appending a vector, which queues
@@ -311,27 +318,30 @@ class SPFreshIndex:
     # -- the shared live filter -------------------------------------------
     def live(self, posting: Posting) -> Posting:
         """Drop stale tuples and duplicate replicas within one posting."""
-        _, live, _ = self.live_rows([posting])
+        live, _ = self.live_rows(posting, np.array([len(posting)]))
         return posting.take(live)
 
-    def live_rows(self, postings: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live tuples of several postings, found in one pass.
+    def live_rows(self, rows: Posting, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The live tuples of postings whose rows are concatenated in
+        ``rows``, ``lens[i]`` of them for the i-th, found in one pass.
 
         A tuple is live if it is not stale and is the first replica of its
-        vid within its posting. Returns the postings' concatenated vids, the
-        positions of the live tuples in that concatenation (grouped by
-        posting, in tuple order) and each posting's live count.
+        vid within its posting. Returns the positions of the live tuples in
+        ``rows`` (grouped by posting, in tuple order) and each posting's
+        live count.
         """
-        seg = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
-        vids = np.concatenate([p.vids for p in postings])
-        stale = self.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
-        live = np.flatnonzero(~stale)
-        if len(live):
-            # one key per (posting, vid); np.unique returns each key's first position
-            key = seg[live] * (int(vids[live].max()) + 1) + vids[live]
-            _, first = np.unique(key, return_index=True)
-            live = np.sort(live[first])
-        return vids, live, np.bincount(seg[live], minlength=len(postings))
+        seg = np.repeat(np.arange(len(lens)), lens)
+        live = np.flatnonzero(~self.version_map.is_stale(rows.vids, rows.versions))
+        if len(live) > 1:
+            # one key per (posting, vid); one stable sort puts each key's
+            # replicas together in tuple order, and all but the first go
+            key = (seg * (int(rows.vids.max()) + 1) + rows.vids)[live]
+            order = np.argsort(key, kind="stable")
+            ranked = key[order]
+            later = order[1:][ranked[1:] == ranked[:-1]]
+            if len(later):
+                live = np.delete(live, later)
+        return live, np.bincount(seg[live], minlength=len(lens))
 
     # -- triggers ---------------------------------------------------------
     def check_split(self, pid: int, depth: int) -> None:
@@ -456,17 +466,15 @@ class SPFreshIndex:
         split_alive = [p for p in new_pids if store.exists(p)]
         scope = lire.reassign_scope(self.centroid_index, old_centroid, new_pids, cfg.reassign_range)
         nbr = [p for p in scope if store.exists(p)]
-        fetched, ios = store.get_batch([split_alive, nbr])
+        batch, ios = store.get_batch([split_alive, nbr])
         for io in ios:  # one at a time, in request order: the same float sums
             self.stats.background_io_us += io
-        if not fetched:
-            return
-        _, live, n_live = self.live_rows(list(fetched.values()))
+        live, n_live = self.live_rows(batch.rows, batch.lens)
         self.stats.reassign_evaluated += len(live)
         if not len(live):
             return
-        rows = Posting.concat(list(fetched.values())).take(live)
-        cur_pids = np.repeat(np.fromiter(fetched, dtype=np.int64), n_live)
+        rows = batch.rows.take(live)
+        cur_pids = np.repeat(batch.pids, n_live)
         mask = lire.reassign_candidate_mask(
             rows.vecs, old_centroid, new_centroids, np.isin(cur_pids, new_pids)
         )

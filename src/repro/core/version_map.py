@@ -109,12 +109,6 @@ class VersionMap:
         return deleted | moved | ~self._present[vids]
 
     # -- CAS (paper: atomic version bump guards concurrent reassign) ------
-    def bump_cas(self, vid: int, expected_version: int) -> int | None:
-        """:meth:`bump_cas_many` of one vid: the new version, or ``None`` if
-        the CAS failed."""
-        ok, new = self.bump_cas_many(np.array([vid]), np.array([expected_version]))
-        return int(new[0]) if ok[0] else None
-
     def bump_cas_many(self, vids: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Atomically advance the version of each of the *distinct* ``vids``
         iff it still equals its ``expected`` version. Returns ``(ok, new)``:

@@ -90,11 +90,9 @@ def live_rows(idx: SPFreshIndex) -> tuple[list[int], np.ndarray, Posting]:
     alive pids, each one's live count and their live rows, posting by
     posting in that order; no Spark job runs."""
     pids = idx.centroid_index.alive_ids.tolist()
-    postings, _ = idx.controller.get_batch([pids])
-    fetched = [postings[pid] for pid in pids]
-    _, live, n_live = idx.live_rows(fetched)
-    rows = Posting.concat(fetched).take(live) if len(live) else Posting.empty(idx.config.dim)
-    return pids, n_live, rows
+    batch, _ = idx.controller.get_batch([pids])
+    live, n_live = idx.live_rows(batch.rows, batch.lens)
+    return pids, n_live, batch.rows.take(live)
 
 
 def live_sizes(idx: SPFreshIndex) -> dict[int, int]:

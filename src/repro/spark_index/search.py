@@ -47,23 +47,21 @@ def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     queues merges for the undersized ones (SPANN+ queues none); the plan
     scans the live rows it read."""
     queries = np.asarray(queries, dtype=np.float64)
-    probed, postings, _, rows = idx.probe(queries)
+    probed, batch, _, rows = idx.probe(queries)
     spark = idx.controller.spark
     if rows is None:
         return spark.createDataFrame([], "qid long, vid long, rnk int")
-    all_vids, at, n_live = rows
+    live, n_live = rows
     qids = np.arange(len(queries), dtype=np.int64)
     probes = spark.createDataFrame(
         arrow_table(qid=np.repeat(qids, probed.shape[1]), pid=probed.ravel())
     )
     q_df = spark.createDataFrame(arrow_table(qid=qids, qvec=queries))
-    live = spark.createDataFrame(arrow_table(
-        pid=np.repeat(np.fromiter(postings, dtype=np.int64, count=len(postings)), n_live),
-        vid=all_vids[at],
-        vec=np.concatenate([p.vecs for p in postings.values()])[at],
+    rows_df = spark.createDataFrame(arrow_table(
+        pid=np.repeat(batch.pids, n_live), vid=batch.rows.vids[live], vec=batch.rows.vecs[live]
     ))
     cand = (
-        probes.join(live, on="pid")
+        probes.join(rows_df, on="pid")
         .join(q_df, on="qid")
         .select("qid", "vid", F.expr(SQ_L2.format(a="qvec", b="vec")).alias("d"))
     )

@@ -11,8 +11,9 @@ Updater, Local Rebuilder and Searcher read step run over it unchanged;
 each call returns 0 simulated µs:
 
 - ``get_batch`` reads the distinct postings of a batch of requests in one
-  Arrow read of the dataset on the driver, with no Spark job; ``get`` is
-  its one-posting case;
+  Arrow read of the dataset on the driver, with no Spark job, as one flat
+  row batch whose squared norms it computes on read; ``get`` is its
+  one-posting case;
 - ``append`` buffers rows; :meth:`SparkPostingStore.flush` writes the
   buffer as one Parquet file with Arrow, before the next read of the
   dataset, at the end of an insert batch and before a metadata commit;
@@ -42,7 +43,8 @@ import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from repro.blockstore.controller import Posting
+from repro.blockstore.controller import Posting, PostingBatch
+from repro.core.distances import sq_norms
 
 POSTING_SCHEMA = T.StructType(
     [
@@ -144,29 +146,33 @@ class SparkPostingStore:
         return list(self._lengths)
 
     def get(self, pid: int) -> tuple[Posting, float]:
-        postings, (cost,) = self.get_batch([[pid]])
-        return postings[pid], cost
+        batch, (cost,) = self.get_batch([[pid]])
+        return batch.rows, cost
 
-    def get_batch(self, requests: list[list[int]]) -> tuple[dict[int, Posting], list[float]]:
+    def get_batch(self, requests: list[list[int]]) -> tuple[PostingBatch, list[float]]:
         """Every row of the requested postings, in one Arrow read of the
-        dataset on the driver (no Spark job). Each distinct posting is
-        assembled once; returns the postings in first-seen order and 0.0 µs
-        per request."""
-        pids = list(dict.fromkeys(pid for r in requests for pid in r))
+        dataset on the driver (no Spark job), as one :class:`PostingBatch`
+        of the distinct postings in first-seen order, its norms computed on
+        read; 0.0 µs per request."""
+        pids = np.fromiter(dict.fromkeys(pid for r in requests for pid in r), dtype=np.int64)
         costs = [0.0] * len(requests)
-        if not pids:
-            return {}, costs
+        if not len(pids):
+            return PostingBatch(pids, pids.copy(), Posting.empty(self.dim), np.empty(0)), costs
         self.flush()
-        table = pq.read_table(self.postings_path, filters=[("pid", "in", pids)]).sort_by("pid")
+        table = pq.read_table(self.postings_path, filters=[("pid", "in", pids.tolist())])
+        table = table.sort_by("pid")
         at = table["pid"].to_numpy()
-        vids = table["vid"].to_numpy()
-        versions = table["version"].to_numpy().astype(np.int16)
-        vecs = pc.list_flatten(table["vec"]).to_numpy().reshape(-1, self.dim)
         lo, hi = np.searchsorted(at, pids), np.searchsorted(at, pids, side="right")
-        return {
-            pid: Posting(vids[a:b], versions[a:b], vecs[a:b])
-            for pid, a, b in zip(pids, lo.tolist(), hi.tolist())
-        }, costs
+        lens = hi - lo
+        # the rows of each pid in turn, in first-seen order
+        order = np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        vecs = pc.list_flatten(table["vec"]).to_numpy().reshape(-1, self.dim)[order]
+        rows = Posting(
+            table["vid"].to_numpy()[order],
+            table["version"].to_numpy().astype(np.int16)[order],
+            vecs,
+        )
+        return PostingBatch(pids, lens, rows, sq_norms(vecs)), costs
 
     def put(self, pid: int, posting: Posting) -> float:
         self._buffer.append((pid, posting))

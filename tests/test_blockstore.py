@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.blockstore import BlockController, Posting, SimulatedSSD
+from repro.core.distances import sq_norms
 
 
 def make_posting(n: int, dim: int = 8, vid0: int = 0, version: int = 0) -> Posting:
@@ -178,8 +179,8 @@ class TestParallelGet:
 
 
 class TestBatchGet:
-    """``get_batch`` is one ``get_many`` per request, with each distinct
-    posting assembled once."""
+    """``get_batch`` is one ``get_many`` per request, with the distinct
+    postings' rows in one flat, read-only batch."""
 
     @staticmethod
     def store() -> BlockController:
@@ -192,40 +193,120 @@ class TestBatchGet:
 
     def test_matches_one_get_many_per_request(self):
         batch, serial = self.store(), self.store()
-        postings, costs = batch.get_batch(self.REQUESTS)
+        got, costs = batch.get_batch(self.REQUESTS)
         for pids, cost in zip(self.REQUESTS, costs):
-            want, want_cost = serial.get_many(pids)
-            assert cost == want_cost
-            for pid in pids:
-                np.testing.assert_array_equal(postings[pid].vids, want[pid].vids)
-                np.testing.assert_array_equal(postings[pid].versions, want[pid].versions)
-                np.testing.assert_array_equal(postings[pid].vecs, want[pid].vecs)
+            assert cost == serial.get_many(pids)[1]
         assert batch.ssd.counters == serial.ssd.counters
         # the two requests without blocks are neither charged nor counted
         assert costs[1] == costs[3] == 0.0
         assert batch.ssd.counters.read_batches == len(self.REQUESTS) - 2
 
-    def test_postings_in_first_seen_order(self):
-        postings, _ = self.store().get_batch(self.REQUESTS)
-        assert list(postings) == [0, 1, 2, 3, 4]
+    def test_equals_serial_gets_in_first_seen_order(self):
+        got, _ = self.store().get_batch(self.REQUESTS)
+        serial = self.store()
+        want = [serial.get(pid)[0] for pid in range(5)]
+        np.testing.assert_array_equal(got.lens, [len(p) for p in want])
+        for field in ("vids", "versions", "vecs"):
+            np.testing.assert_array_equal(
+                getattr(got.rows, field), np.concatenate([getattr(p, field) for p in want])
+            )
+        assert got.rows.vecs.dtype == np.float32 and got.norms.dtype == np.float64
+        np.testing.assert_array_equal(got.norms, sq_norms(got.rows.vecs.astype(np.float64)))
 
-    def test_shared_posting_assembled_once(self, monkeypatch):
+    def test_postings_in_first_seen_order(self):
+        batch, _ = self.store().get_batch(self.REQUESTS)
+        assert batch.pids.tolist() == [0, 1, 2, 3, 4]
+        assert batch.lens.tolist() == [6, 3, 0, 9, 1]
+        assert len(batch.rows) == len(batch.norms) == 19
+
+    def test_posting_requested_twice_appears_once(self):
         ctl = self.store()
-        assembled = []
-        concat = Posting.concat
-        monkeypatch.setattr(
-            Posting, "concat", staticmethod(lambda parts: assembled.append(parts) or concat(parts))
-        )
-        postings, _ = ctl.get_batch([[0, 3], [3, 0], [0]])
-        # the two multi-block postings, once each; one-block postings need no concat
-        assert len(assembled) == 2
-        assert len(postings[0]) == 6 and len(postings[3]) == 9
+        batch, costs = ctl.get_batch([[0, 3], [3, 0], [0]])
+        assert batch.pids.tolist() == [0, 3] and batch.lens.tolist() == [6, 9]
+        np.testing.assert_array_equal(batch.rows.vids, [*range(6), *range(30, 39)])
+        # each request is still charged and counted as its own read
+        assert ctl.ssd.counters.blocks_read == 5 + 5 + 2 and len(costs) == 3
+
+    @pytest.mark.parametrize("requests", [[[1], [1, 4]], [[0, 3]], [[4, 1], [0]], [[2]], []])
+    def test_batch_arrays_are_read_only(self, requests):
+        batch, _ = self.store().get_batch(requests)
+        for a in (batch.rows.vids, batch.rows.versions, batch.rows.vecs, batch.norms):
+            assert not a.flags.writeable
 
     def test_one_block_posting_is_not_copied(self):
         ctl = self.store()
-        postings, _ = ctl.get_batch([[1], [1, 4]])
-        assert not postings[1].vecs.flags.writeable
-        assert not postings[4].vids.flags.writeable
+        batch, _ = ctl.get_batch([[1], [1]])
+        stored = ctl.ssd._blocks[ctl._mapping[1].block_ids[0]]
+        assert batch.rows.vecs is stored.vecs and batch.rows.vids is stored.vids
+        assert not batch.rows.vecs.flags.writeable
+
+
+class TestNormCache:
+    """The controller keeps each block's squared norms from its first read
+    until its release: they must equal ``sq_norms`` of the block's rows as
+    float64, bit for bit, whatever the block ids' history."""
+
+    @staticmethod
+    def posting(n: int, vid0: int, seed: int) -> Posting:
+        vecs = np.random.default_rng(seed).normal(size=(n, 8)).astype(np.float32)
+        return Posting(np.arange(vid0, vid0 + n), np.zeros(n, np.int16), vecs)
+
+    @staticmethod
+    def check(ctl: BlockController) -> None:
+        """Every posting read in one batch, and every cached block's norms,
+        against ``sq_norms`` of the gathered float64 rows."""
+        batch, _ = ctl.get_batch([ctl.posting_ids])
+        np.testing.assert_array_equal(batch.norms, sq_norms(batch.rows.vecs.astype(np.float64)))
+        assert set(ctl._norms) == {b for pid in ctl.posting_ids for b in ctl._mapping[pid].block_ids}
+        for b, norms in ctl._norms.items():
+            want = sq_norms(ctl.ssd._blocks[b].vecs.astype(np.float64))
+            assert norms.tobytes() == want.tobytes()
+
+    @pytest.fixture()
+    def ctl(self) -> BlockController:
+        return BlockController(SimulatedSSD(block_bytes=64), dim=8)  # 3 tuples/block
+
+    def test_after_put_and_append(self, ctl):
+        ctl.put(1, self.posting(7, 0, seed=1))
+        ctl.put(2, self.posting(2, 100, seed=2))
+        self.check(ctl)
+        ctl.append(1, self.posting(1, 7, seed=3))  # replaces the last block, not cached
+        assert ctl._mapping[1].block_ids[-1] not in ctl._norms
+        self.check(ctl)
+        ctl.put(2, self.posting(4, 200, seed=4))
+        self.check(ctl)
+
+    def test_delete_drops_the_norms(self, ctl):
+        ctl.put(1, self.posting(7, 0, seed=1))
+        blocks = list(ctl._mapping[1].block_ids)
+        ctl.get(1)  # GET's callers rewrite or release the blocks: it fills no norm
+        assert not ctl._norms
+        ctl.get_batch([[1]])
+        assert set(blocks) <= set(ctl._norms)
+        ctl.delete(1)
+        assert set(blocks).isdisjoint(ctl._norms)
+
+    def test_ids_reused_through_the_free_pool(self, ctl):
+        ctl.put(1, self.posting(7, 0, seed=1))
+        ctl.get_batch([[1]])
+        freed = set(ctl._mapping[1].block_ids)
+        ctl.delete(1)
+        ctl.put(2, self.posting(7, 100, seed=2))  # other vectors in the same blocks
+        assert set(ctl._mapping[2].block_ids) == freed
+        self.check(ctl)
+
+    def test_ids_reused_through_flush_pre_release(self, ctl):
+        ctl.defer_release = True
+        ctl.put(1, self.posting(5, 0, seed=1))
+        ctl.get_batch([[1]])
+        parked = set(ctl._mapping[1].block_ids)
+        ctl.put(1, self.posting(4, 10, seed=2))  # the old blocks go to the pre-release buffer
+        ctl.get_batch([[1]])
+        self.check(ctl)
+        ctl.flush_pre_release()
+        ctl.put(2, self.posting(6, 100, seed=3))
+        assert set(ctl._mapping[2].block_ids) == parked
+        self.check(ctl)
 
 
 class TestReadOnlyBlocks:

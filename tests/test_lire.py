@@ -306,7 +306,7 @@ def version_map_of(*vids: int) -> VersionMap:
 class TestPlanMoves:
     def test_lost_cas_appends_nothing_and_keeps_replicas_live(self):
         index, vm = line_index(0.0, 10.0), version_map_of(1, 2)
-        vm.bump_cas(2, 0)  # vector 2 moved after its candidate row was read
+        vm.bump_cas_many([2], [0])  # vector 2 moved after its candidate row was read
         p = plan(index, vm, [1, 2], [0, 0], [9.0, 9.0], [0, 0])
         assert (p.moved, p.aborted, p.evaluated) == (1, 1, 2)
         assert p.vids.tolist() == [1] and p.pids.tolist() == [1]

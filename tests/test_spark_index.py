@@ -18,6 +18,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.spann_plus import spann_plus_config
+from repro.core.distances import sq_norms
 from repro.core.lire import closure_assign
 from repro.core.spfresh import SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
@@ -193,7 +194,7 @@ class TestLiveSemantics:
     def test_stale_version_excluded_after_reassign(self, spark, base_data, tmp_path):
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "t3"))
-        st.version_map.bump_cas(7, 0)  # simulate a reassign that moved vid 7
+        st.version_map.bump_cas_many([7], [0])  # simulate a reassign that moved vid 7
         live = live_table(st)
         assert 7 not in set(live["vid"])  # its on-disk rows are version 0
 
@@ -270,16 +271,16 @@ class TestUpdater:
         insert_batch(st, np.arange(4000, 4020), new)
         store = st.controller
         pids = [int(p) for p in st.centroid_index.alive_ids]
-        postings, _ = store.get_batch([pids])
-        got = Counter(
-            (pid, v, ver, tuple(x))
-            for pid, p in postings.items()
-            for v, ver, x in zip(p.vids.tolist(), p.versions.tolist(), p.vecs.tolist())
-        )
-        rows = store.postings_df().where(F.col("pid").isin(pids)).collect()
-        assert got == Counter((r.pid, r.vid, r.version, tuple(r.vec)) for r in rows)
+        batch, _ = store.get_batch([pids])
+        rows = batch.rows
+        got = Counter(zip(
+            np.repeat(batch.pids, batch.lens).tolist(), rows.vids.tolist(),
+            rows.versions.tolist(), map(tuple, rows.vecs.tolist()),
+        ))
+        spark_rows = store.postings_df().where(F.col("pid").isin(pids)).collect()
+        assert got == Counter((r.pid, r.vid, r.version, tuple(r.vec)) for r in spark_rows)
         assert {4000, 4019, 30, 299} <= {v for _, v, _, _ in got}
-        assert all(p.vecs.shape == (len(p), 8) for p in postings.values())
+        assert rows.vecs.shape == (len(rows), 8)
 
     def test_delete_is_metadata_only(self, spark, base_data, tmp_path):
         vecs, vids = base_data
@@ -422,8 +423,8 @@ class TestRebalance:
         assert st.posting_lengths() == lengths
         live = Counter(live_table(st)["vid"].tolist())
         assert set(live) == set(range(50, 200))
-        postings, _ = store.get_batch([st.centroid_index.alive_ids.tolist()])
-        assert Counter(v for p in postings.values() for v in p.vids.tolist()) == live
+        batch, _ = store.get_batch([st.centroid_index.alive_ids.tolist()])
+        assert Counter(batch.rows.vids.tolist()) == live
         assert Counter(store.postings_df().toPandas()["vid"].tolist()) == live
 
     def test_compact_with_every_vector_deleted_leaves_an_empty_generation(
@@ -436,8 +437,8 @@ class TestRebalance:
         compact(st)
         assert st.controller._gen == gen + 1
         pids = st.centroid_index.alive_ids.tolist()
-        postings, _ = st.controller.get_batch([pids])
-        assert list(postings) == pids and all(len(p) == 0 for p in postings.values())
+        batch, _ = st.controller.get_batch([pids])
+        assert batch.pids.tolist() == pids and not batch.lens.any() and not len(batch.rows)
         assert st.controller.postings_df().count() == 0
         assert set(live_sizes(st).values()) == {0}
 
@@ -623,23 +624,26 @@ class TestJobCount:
 
     def test_get_batch_reads_each_posting_once(self, spark, base_data, tmp_path):
         """A ParallelGET of several requests is one Arrow read on the
-        driver, with no Spark job; each distinct posting is assembled once,
-        in first-seen order, and each request costs 0.0 simulated µs."""
+        driver, with no Spark job; it holds each distinct posting once, in
+        first-seen order, with its rows' squared norms, and each request
+        costs 0.0 simulated µs."""
         vecs, vids = base_data
         st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j2"))
         store = st.controller
         a, b, c = (int(p) for p in st.centroid_index.alive_ids[:3])
         with SparkJobs(spark) as counted:
-            postings, costs = store.get_batch([[c, a], [a, b, c], []])
+            batch, costs = store.get_batch([[c, a], [a, b, c], []])
         assert counted.n == 0
-        assert list(postings) == [c, a, b]
+        assert batch.pids.tolist() == [c, a, b]
         assert costs == [0.0, 0.0, 0.0]
-        for pid, got in postings.items():
-            want, _ = store.get(pid)
-            assert len(got) == store.length(pid) > 0
-            np.testing.assert_array_equal(got.vids, want.vids)
-            np.testing.assert_array_equal(got.versions, want.versions)
-            np.testing.assert_array_equal(got.vecs, want.vecs)
+        want = [store.get(pid)[0] for pid in (c, a, b)]
+        assert batch.lens.tolist() == [store.length(pid) for pid in (c, a, b)] == list(map(len, want))
+        assert batch.lens.min() > 0
+        for field in ("vids", "versions", "vecs"):
+            got = getattr(batch.rows, field)
+            np.testing.assert_array_equal(got, np.concatenate([getattr(p, field) for p in want]))
+            assert not got.flags.writeable
+        np.testing.assert_array_equal(batch.norms, sq_norms(batch.rows.vecs.astype(np.float64)))
 
     def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
         """The build and an insert batch write their rows with Arrow: no

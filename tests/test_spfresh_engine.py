@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.spann_plus import build_spann_plus, spann_plus_config
-from repro.blockstore.controller import Posting
+from repro.blockstore.controller import BlockController, Posting
+from repro.blockstore.ssd import SimulatedSSD
 from repro.core import lire
-from repro.core.distances import pairwise_sq_l2, topk_indices
+from repro.core.distances import pairwise_sq_l2, topk_indices, topk_per_row
 from repro.core.spfresh import SEARCH_SLICE, SPFreshConfig, SPFreshIndex
 from repro.experiments import default_config
 from repro.synth_data import clustered_vectors, ground_truth_knn
@@ -229,9 +230,19 @@ def churned():
     """An index after churn, with queries that probe each hard case: stale
     replicas, a vid held twice by one posting after a merge, and a posting
     with no tuples."""
+    return make_churned(None)
+
+
+@pytest.fixture(scope="module")
+def churned_small_blocks():
+    """``churned`` over 15-tuple blocks, so most postings span several."""
+    return make_churned(BlockController(SimulatedSSD(block_bytes=256), dim=8))
+
+
+def make_churned(store: BlockController | None):
     idx = SPFreshIndex.build(
         clustered_vectors(n=1000, dim=8, n_clusters=8, seed=40), np.arange(1000),
-        small_config(dim=8),
+        small_config(dim=8), store,
     )
     idx.insert_batch(np.arange(1000, 1400), clustered_vectors(n=400, dim=8, n_clusters=8, seed=41))
     for v in np.random.default_rng(0).choice(1000, 200, replace=False):
@@ -361,6 +372,122 @@ class TestBatchedSearch:
         idx = SPFreshIndex(small_config(dim=8))
         ids, lats = idx.search_batch(np.zeros((2, 8)), 5)
         assert [len(i) for i in ids] == [0, 0] and len(lats) == 2
+
+
+def reference_live_rows(
+    idx: SPFreshIndex, postings: list[Posting]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SPFreshIndex.live_rows`` before the flat row batch: the postings'
+    concatenated vids, the live places, each (posting, vid) key's first
+    place from ``np.unique``, and each posting's live count."""
+    seg = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
+    vids = np.concatenate([p.vids for p in postings])
+    stale = idx.version_map.is_stale(vids, np.concatenate([p.versions for p in postings]))
+    live = np.flatnonzero(~stale)
+    if len(live):
+        key = seg[live] * (int(vids[live].max()) + 1) + vids[live]
+        _, first = np.unique(key, return_index=True)
+        live = np.sort(live[first])
+    return vids, live, np.bincount(seg[live], minlength=len(postings))
+
+
+def reference_search_slice(
+    idx: SPFreshIndex, qs: np.ndarray, k: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The Searcher's slice (read step and scan) as it was before the flat
+    row batch, kept as the reference: the postings by pid, a dedupe and
+    columns found with ``np.unique``, and the scanned rows' norms computed
+    by ``pairwise_sq_l2``."""
+    probed = idx.centroid_index.search_batch(qs, idx.config.nprobe)
+    batch, ios = idx.controller.get_batch(probed.tolist())
+    ends = np.cumsum(batch.lens).tolist()
+    postings = {
+        pid: batch.rows.slice(hi - n, hi)
+        for pid, n, hi in zip(batch.pids.tolist(), batch.lens.tolist(), ends)
+    }
+    for io in ios:
+        idx.stats.foreground_io_us += io
+    fetched = list(postings.values())
+    rows = None
+    if postings:
+        rows = reference_live_rows(idx, fetched)
+        idx.read(list(postings), rows[2].tolist())
+    pids = np.fromiter(postings, dtype=np.int64, count=len(fetched))
+    by_pid = np.argsort(pids)
+    slot = by_pid[np.searchsorted(pids[by_pid], probed)]
+    on_disk = np.array([len(p.vids) for p in fetched], dtype=np.int64)
+    lats = idx.latency.search_us(
+        n_centroids_compared=len(idx.centroid_index),
+        vectors_scanned=on_disk[slot].sum(axis=1),
+        dim=idx.config.dim,
+        io_us=np.asarray(ios),
+    )
+    if rows is None:
+        return [np.empty(0, dtype=np.int64) for _ in qs], lats
+    all_vids, live, n_live = rows
+    lens = n_live[slot].ravel()
+    begin = np.cumsum(n_live) - n_live
+    at = np.repeat(begin[slot].ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    query = np.repeat(np.arange(slot.size) // slot.shape[1], lens)
+    vids, col = np.unique(all_vids[live], return_inverse=True)
+    rep = np.empty(len(vids), dtype=np.int64)
+    rep[col] = live
+    d = pairwise_sq_l2(qs, np.concatenate([p.vecs for p in fetched])[rep].astype(np.float64))
+    cells = (query, col[at])
+    held = np.full(d.shape, np.inf)
+    held[cells] = d[cells]
+    r, c = topk_per_row(held, k)
+    return np.split(vids[c], np.searchsorted(r, np.arange(1, len(qs)))), lats
+
+
+class TestScanMatchesReference:
+    """The flat batch's scan (cached norms, mark-table columns, sorted-key
+    replica dedupe) gives what the ``np.unique`` scan gave: the same ids,
+    simulated µs and merge jobs, on an index with deletes, stale replicas
+    left by reassigns, a vid held twice by one posting after a merge and
+    a posting with no tuples."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("fixture", ["churned", "churned_small_blocks"])
+    def test_same_ids_latencies_and_merge_jobs(self, request, fixture, batch):
+        idx, qs, dup, empty = request.getfixturevalue(fixture)
+        qs = np.vstack([qs, clustered_vectors(n=30, dim=8, n_clusters=8, seed=48)])
+        run, ref = copy.deepcopy(idx), copy.deepcopy(idx)
+        for lo in range(0, len(qs), batch):
+            ids, lats = run.search_batch(qs[lo : lo + batch], 10)
+            want_ids, want_lats = reference_search_slice(ref, qs[lo : lo + batch].astype(np.float64), 10)
+            assert len(ids) == len(want_ids)
+            for got, want in zip(ids, want_ids):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert lats.tolist() == want_lats.tolist()
+        assert {("merge", dup), ("merge", empty)} <= run._pending
+        assert list(run.jobs) == list(ref.jobs)
+        assert run._pending == ref._pending
+        assert run.ssd.counters == ref.ssd.counters and run.stats == ref.stats
+
+    def test_live_rows_keeps_the_reference_places(self):
+        """Postings with replicas repeated within them (in any order), stale
+        versions and deleted vids: the same live places as ``np.unique``'s
+        first places, and the same counts."""
+        rng = np.random.default_rng(47)
+        idx = SPFreshIndex(small_config(dim=2))
+        idx.version_map.add_many(np.arange(60))
+        idx.version_map.bump_cas_many(np.arange(0, 60, 7), np.zeros(9, dtype=np.int16))
+        for v in range(3, 60, 11):
+            idx.delete(v)
+        for trial in range(20):
+            sizes = rng.integers(0, 30, size=rng.integers(1, 8))
+            postings = [
+                Posting(rng.integers(0, 60, n), rng.integers(0, 2, n).astype(np.int16),
+                        np.zeros((n, 2), np.float32))
+                for n in sizes
+            ]
+            rows = Posting.concat(postings) if sizes.any() else Posting.empty(2)
+            live, n_live = idx.live_rows(rows, sizes)
+            _, want_live, want_n = reference_live_rows(idx, postings)
+            np.testing.assert_array_equal(live, want_live)
+            np.testing.assert_array_equal(n_live, want_n)
 
 
 class TestBatchedInsert:

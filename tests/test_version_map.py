@@ -23,7 +23,7 @@ class TestLifecycle:
     def test_add_refuses_a_held_vid(self):
         vm = VersionMap()
         vm.add(1)
-        vm.bump_cas(1, 0)
+        vm.bump_cas_many([1], [0])
         vm.add(2)
         vm.delete(2)
         for vid in (1, 2):
@@ -80,27 +80,34 @@ class TestCAS:
     def test_bump_succeeds_on_expected(self):
         vm = VersionMap()
         vm.add(1)
-        assert vm.bump_cas(1, 0) == 1
+        ok, new = vm.bump_cas_many([1], [0])
+        assert ok.tolist() == [True] and new.tolist() == [1]
         assert vm.version(1) == 1
 
     def test_bump_fails_on_stale_expected(self):
         vm = VersionMap()
         vm.add(1)
-        vm.bump_cas(1, 0)
-        assert vm.bump_cas(1, 0) is None  # concurrent reassign lost the race
+        vm.bump_cas_many([1], [0])
+        ok, _ = vm.bump_cas_many([1], [0])
+        assert ok.tolist() == [False]  # concurrent reassign lost the race
+        assert vm.version(1) == 1
 
     def test_bump_fails_on_deleted(self):
         vm = VersionMap()
         vm.add(1)
         vm.delete(1)
-        assert vm.bump_cas(1, 0) is None
+        ok, _ = vm.bump_cas_many([1], [0])
+        assert ok.tolist() == [False]
+        assert vm.is_deleted(1)
 
     def test_seven_bit_wraparound(self):
         vm = VersionMap()
         vm.add(1)
         for expected in range(127):
-            assert vm.bump_cas(1, expected) == expected + 1
-        assert vm.bump_cas(1, 127) == 0  # wraps to 0, not 128
+            ok, new = vm.bump_cas_many([1], [expected])
+            assert ok.tolist() == [True] and new.tolist() == [expected + 1]
+        ok, new = vm.bump_cas_many([1], [127])
+        assert ok.tolist() == [True] and new.tolist() == [0]  # wraps to 0, not 128
         assert not vm.is_deleted(1)  # wrap must not touch the delete bit
 
 
@@ -117,7 +124,7 @@ def cas_batch(draw):
         vm.add(v)
         version = draw(st.sampled_from([0, 1, 2, 125, 126, 127]))
         for e in range(version):
-            vm.bump_cas(v, e)
+            vm.bump_cas_many([v], [e])
         if draw(st.booleans()):
             vm.delete(v)
         expected.append(draw(st.sampled_from([version, (version + 1) % 128, 0])))
@@ -130,10 +137,10 @@ class TestBumpCasMany:
     def test_equals_a_loop_of_bump_cas(self, case):
         vm, vids, expected = case
         loop = copy.deepcopy(vm)
-        want = [loop.bump_cas(int(v), int(e)) for v, e in zip(vids, expected)]
+        want = [loop.bump_cas_many([v], [e]) for v, e in zip(vids.tolist(), expected.tolist())]
         ok, new = vm.bump_cas_many(vids, expected)
-        assert ok.tolist() == [w is not None for w in want]
-        assert new[ok].tolist() == [w for w in want if w is not None]
+        assert ok.tolist() == [bool(w_ok[0]) for w_ok, _ in want]
+        assert new.tolist() == [int(w_new[0]) for _, w_new in want]
         for got, ref in zip(vm.entries(), loop.entries()):
             np.testing.assert_array_equal(got, ref)
 
@@ -147,14 +154,14 @@ class TestStaleness:
     def test_version_mismatch_is_stale(self):
         vm = VersionMap()
         vm.add(1)
-        vm.bump_cas(1, 0)
+        vm.bump_cas_many([1], [0])
         stale = vm.is_stale(np.array([1, 1]), np.array([0, 1]))
         assert stale[0] and not stale[1]
 
     def test_deleted_is_stale_at_any_version(self):
         vm = VersionMap()
         vm.add(1)
-        vm.bump_cas(1, 0)
+        vm.bump_cas_many([1], [0])
         vm.delete(1)
         assert vm.is_stale(np.array([1]), np.array([1]))[0]
 
@@ -178,6 +185,6 @@ class TestStaleness:
         for v in range(5):
             vm.add(v)
         vm.delete(2)
-        vm.bump_cas(4, 0)
+        vm.bump_cas_many([4], [0])
         stale = vm.is_stale(np.arange(5), np.zeros(5, dtype=np.int16))
         np.testing.assert_array_equal(stale, [False, False, True, False, True])
