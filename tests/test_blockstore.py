@@ -193,7 +193,7 @@ class TestBatchGet:
 
     def test_matches_one_get_many_per_request(self):
         batch, serial = self.store(), self.store()
-        got, costs = batch.get_batch(self.REQUESTS)
+        _, costs = batch.get_batch(self.REQUESTS)
         for pids, cost in zip(self.REQUESTS, costs):
             assert cost == serial.get_many(pids)[1]
         assert batch.ssd.counters == serial.ssd.counters
@@ -257,7 +257,8 @@ class TestNormCache:
         against ``sq_norms`` of the gathered float64 rows."""
         batch, _ = ctl.get_batch([ctl.posting_ids])
         np.testing.assert_array_equal(batch.norms, sq_norms(batch.rows.vecs.astype(np.float64)))
-        assert set(ctl._norms) == {b for pid in ctl.posting_ids for b in ctl._mapping[pid].block_ids}
+        held = {b for pid in ctl.posting_ids for b in ctl._mapping[pid].block_ids}
+        assert set(ctl._norms) == held
         for b, norms in ctl._norms.items():
             want = sq_norms(ctl.ssd._blocks[b].vecs.astype(np.float64))
             assert norms.tobytes() == want.tobytes()

@@ -637,7 +637,8 @@ class TestJobCount:
         assert batch.pids.tolist() == [c, a, b]
         assert costs == [0.0, 0.0, 0.0]
         want = [store.get(pid)[0] for pid in (c, a, b)]
-        assert batch.lens.tolist() == [store.length(pid) for pid in (c, a, b)] == list(map(len, want))
+        assert batch.lens.tolist() == [store.length(pid) for pid in (c, a, b)]
+        assert batch.lens.tolist() == [len(p) for p in want]
         assert batch.lens.min() > 0
         for field in ("vids", "versions", "vecs"):
             got = getattr(batch.rows, field)

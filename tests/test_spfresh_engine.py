@@ -453,9 +453,10 @@ class TestScanMatchesReference:
         idx, qs, dup, empty = request.getfixturevalue(fixture)
         qs = np.vstack([qs, clustered_vectors(n=30, dim=8, n_clusters=8, seed=48)])
         run, ref = copy.deepcopy(idx), copy.deepcopy(idx)
+        qs = qs.astype(np.float64)
         for lo in range(0, len(qs), batch):
             ids, lats = run.search_batch(qs[lo : lo + batch], 10)
-            want_ids, want_lats = reference_search_slice(ref, qs[lo : lo + batch].astype(np.float64), 10)
+            want_ids, want_lats = reference_search_slice(ref, qs[lo : lo + batch], 10)
             assert len(ids) == len(want_ids)
             for got, want in zip(ids, want_ids):
                 assert got.dtype == want.dtype
