@@ -2,7 +2,7 @@
 
 The core-engine leg runs the largest single-node simulation; the Spark
 leg drives the same LIRE protocol through the Parquet/DataFrame engine
-(batch updates + rebalance jobs + DataFrame search) as the scaled twin
+(batch updates + rebalance jobs + Spark search) as the scaled twin
 of the paper's billion-scale run.
 """
 import os

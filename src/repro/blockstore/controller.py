@@ -164,9 +164,6 @@ class BlockController:
     def length(self, pid: int) -> int:
         return self._mapping[pid].length
 
-    def n_blocks(self, pid: int) -> int:
-        return len(self._mapping[pid].block_ids)
-
     @property
     def posting_ids(self) -> list[int]:
         return list(self._mapping)

@@ -22,12 +22,12 @@ than ``merge_limit`` live tuples. It runs a batch of queries a slice at
 a time: a read step (:meth:`SPFreshIndex.probe`: one navigation GEMM,
 one batched ParallelGET that returns the distinct postings' rows as one
 flat, read-only batch with each row's cached squared norm, one
-staleness filter over that batch and the merge trigger), then one
-distance GEMM over the distinct live vids, whose columns come from a
-dense mark table over the vid range and whose norms are the batch's,
-and one exact top-k in ``(distance, vid)`` order. The Spark search runs
-the same read step once per batch, then scans the live rows it read in
-SQL.
+staleness filter over that batch and the merge trigger), then the scan
+step (:func:`scan_topk`: one distance GEMM over the distinct live vids,
+columns from a dense mark table over the vid range, norms from the
+batch, and one exact top-k in ``(distance, vid)`` order). The Spark
+search runs the read step once per batch, then this scan step in one
+Spark task per slice.
 
 Every rebalancing decision (build layout, closure assignment, split,
 reassign scope, condition screening, the final NPA check with CAS, merge
@@ -62,7 +62,41 @@ from repro.core.lire import closure_assign, condition_one, condition_two  # noqa
 
 
 # Queries searched together: bounds a slice's queries × vids distance matrix.
+# A slice is also the unit of one Spark search task (repro.spark_index.search).
 SEARCH_SLICE = 8
+
+
+def scan_topk(
+    qs: np.ndarray, slot: np.ndarray, live: np.ndarray, n_live: np.ndarray,
+    rows: Posting, norms: np.ndarray, k: int,
+) -> list[np.ndarray]:
+    """The Searcher's scan step: each query's top-k vids in ``(distance,
+    vid)`` order over the live rows its probes hold. ``slot[i, j]`` is the
+    place of query i's j-th probe among a read's postings, ``(live,
+    n_live)`` the read's ``live_rows``, ``rows`` and ``norms`` its rows.
+    The GEMM's columns are the distinct vids these probes hold."""
+    # each query's live rows (places in ``live``), posting by posting in navigation order
+    lens = n_live[slot].ravel()
+    begin = np.cumsum(n_live) - n_live
+    places = np.repeat(begin[slot].ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    at = live[places]  # their positions in ``rows``
+    query = np.repeat(np.arange(slot.size) // slot.shape[1], lens)
+    # one column per distinct held vid, in vid order, from a mark table over
+    # the vid range: every replica of a vid stores the same vector
+    held = rows.vids[at]
+    mark = np.zeros(held.max(initial=-1) + 1, dtype=bool)
+    mark[held] = True
+    cols = np.flatnonzero(mark)
+    col = (np.cumsum(mark) - 1)[held]
+    rep = np.empty(len(cols), dtype=np.int64)
+    rep[col] = at
+    y = np.take(rows.vecs, rep, axis=0).astype(np.float64)
+    d = pairwise_sq_l2(qs, y, y_norms=norms[rep])
+    cells = query * len(cols) + col  # flat places in ``d``
+    masked = np.full(d.shape, np.inf)  # +inf: no posting of the query holds the vid
+    masked.reshape(-1)[cells] = d.reshape(-1)[cells]
+    r, c = topk_per_row(masked, k)
+    return np.split(cols[c], np.searchsorted(r, np.arange(1, len(qs))))
 
 
 @dataclass
@@ -239,62 +273,35 @@ class SPFreshIndex:
 
     def probe(
         self, qs: np.ndarray
-    ) -> tuple[np.ndarray, PostingBatch, list[float], tuple | None]:
+    ) -> tuple[np.ndarray, PostingBatch, list[float], tuple[np.ndarray, np.ndarray]]:
         """The Searcher's read step: one navigation GEMM, one ParallelGET per
         query, all in one ``get_batch``, and one staleness filter over the
         batch, whose live counts go to the Local Rebuilder's merge trigger
         in first-seen order (query order, then navigation order). Returns
-        each query's probed pids, the batch, each query's simulated I/O µs
-        and the batch's ``live_rows`` (``None`` when nothing was fetched)."""
+        each query's probe places (``slot[i, j]``: query i's j-th posting's
+        place in the batch), the batch, each query's simulated I/O µs and
+        the batch's ``live_rows``."""
         probed = self.centroid_index.search_batch(qs, self.config.nprobe)
         batch, ios = self.controller.get_batch(probed.tolist())
         for io in ios:
             self.stats.foreground_io_us += io
-        if not len(batch):
-            return probed, batch, ios, None
         rows = self.live_rows(batch.rows, batch.lens)
         self.read(batch.pids.tolist(), rows[1].tolist())
-        return probed, batch, ios, rows
+        place = np.empty(batch.pids.max(initial=-1) + 1, dtype=np.int64)
+        place[batch.pids] = np.arange(len(batch))
+        return place[probed], batch, ios, rows
 
     def _search_slice(self, qs: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
         """One slice of :meth:`search_batch`: the read step (:meth:`probe`),
-        then one distance GEMM over the distinct live vids and one exact
-        top-k in ``(distance, vid)`` order."""
-        probed, batch, ios, rows = self.probe(qs)
-        # slot[i, j]: the place of query i's j-th probe among the batch's postings
-        place = np.empty(batch.pids.max(initial=-1) + 1, dtype=np.int64)
-        place[batch.pids] = np.arange(len(batch))
-        slot = place[probed]
+        then the scan step (:func:`scan_topk`)."""
+        slot, batch, ios, (live, n_live) = self.probe(qs)
         lats = self.latency.search_us(
             n_centroids_compared=len(self.centroid_index),
             vectors_scanned=batch.lens[slot].sum(axis=1),
             dim=self.config.dim,
             io_us=np.asarray(ios),
         )
-        if rows is None:
-            return [np.empty(0, dtype=np.int64) for _ in qs], lats
-        live, n_live = rows
-        # each query's live rows (places in ``live``), posting by posting in navigation order
-        lens = n_live[slot].ravel()
-        begin = np.cumsum(n_live) - n_live
-        at = np.repeat(begin[slot].ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        query = np.repeat(np.arange(slot.size) // slot.shape[1], lens)
-        # one column per distinct live vid, in vid order, from a mark table
-        # over the vid range: every replica of a vid stores the same vector
-        live_vids = batch.rows.vids[live]
-        mark = np.zeros(live_vids.max(initial=-1) + 1, dtype=bool)
-        mark[live_vids] = True
-        vids = np.flatnonzero(mark)
-        col = (np.cumsum(mark) - 1)[live_vids]
-        rep = np.empty(len(vids), dtype=np.int64)
-        rep[col] = live
-        y = np.take(batch.rows.vecs, rep, axis=0).astype(np.float64)
-        d = pairwise_sq_l2(qs, y, y_norms=batch.norms[rep])
-        cells = query * len(vids) + col[at]  # flat places in ``d``
-        held = np.full(d.shape, np.inf)  # +inf: no posting of the query holds the vid
-        held.reshape(-1)[cells] = d.reshape(-1)[cells]
-        r, c = topk_per_row(held, k)
-        return np.split(vids[c], np.searchsorted(r, np.arange(1, len(qs)))), lats
+        return scan_topk(qs, slot, live, n_live, batch.rows, batch.norms, k), lats
 
     # ------------------------------------------------------------------
     # Local Rebuilder (background, paper §4.2)

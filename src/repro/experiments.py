@@ -306,8 +306,8 @@ def run_f9_spark_leg(
 ):
     """The stress test's largest-scale leg through the Spark dataflow
     engine: per-epoch batch delete/insert + LIRE rebalance jobs over the
-    Parquet posting store, with recall measured by the DataFrame search
-    pipeline. Demonstrates the distributed index-maintenance path of
+    Parquet posting store, with recall measured by the Spark search (the
+    core's scan in one Spark job). Demonstrates the distributed index-maintenance path of
     DESIGN.md §3 at the scale where driver-side numpy would not be the
     tool of record."""
     import pandas as pd

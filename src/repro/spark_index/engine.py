@@ -16,7 +16,7 @@ is Spark's own:
 - :func:`rebalance`.
 
 No call here launches a Spark job: maintenance reads and writes Parquet
-with Arrow on the driver, and only the search plan (:mod:`search`) runs
+with Arrow on the driver, and only the search scan (:mod:`search`) runs
 on Spark. Deletes are the core's ``SPFreshIndex.delete``: tombstones in
 the version map, with no Parquet write (rows go at the next compaction).
 """

@@ -1,4 +1,4 @@
-"""Batch KNN search: navigation on the driver, the scan as a DataFrame plan
+"""Batch KNN search: navigation on the driver, the core's scan in Spark tasks
 (paper §3.1).
 
 A search first runs the core Searcher's read step
@@ -6,70 +6,57 @@ A search first runs the core Searcher's read step
 navigation GEMM over the in-memory centroid index picks each query's
 ``nprobe`` postings, as the paper's SPTAG index does, and the read of
 those postings, one Arrow read with no Spark job, queues a merge job for
-each one with fewer than ``merge_limit`` live rows. The probed
-``(qid, pid)`` pairs, the live rows that read found as ``(pid, vid,
-vec)`` and the queries then go to Spark as Arrow tables, and its plan is
-three relational steps:
-
-1. posting scan — join the probes with those live rows on ``pid``;
-2. replica dedupe — min distance per ``(qid, vid)``;
-3. final top-k — ``row_number`` over ``(distance, vid)`` per query.
-
-Each probed posting is thus read once, and the scan touches no other
-row: its rows grow with nprobe, not with the dataset. The merge trigger
-and the scan see the same postings.
+each one with fewer than ``merge_limit`` live rows. Spark then runs the
+core Searcher's scan step (:func:`~repro.core.spfresh.scan_topk`) in one
+``mapInArrow`` job, one row per slice of ``SEARCH_SLICE`` queries: each
+slice scans the live rows of the postings its queries probed, with the
+probe places and the read's live rows captured in the task's closure.
+The two engines thus share one scan, the same distances, replica dedupe
+and ``(distance, vid)`` order; each probed posting is read once, and the
+scan touches no other row, so its rows grow with nprobe, not with the
+dataset. The merge trigger and the scan see the same postings. The
+Python workers import :mod:`repro`, which must be installed or on
+``PYTHONPATH``.
 
 ``duckdb_twin_sql`` emits the equivalent DuckDB SQL over the relations
 the search reads, with the navigation done in SQL, so
 ``repro.oracle.assert_equivalent`` catches any divergence in the driver's
-navigation or in the Spark plan (wrong probes, wrong join, wrong dedupe,
-wrong ranking).
+navigation or in the scan (wrong probes, wrong rows, wrong dedupe, wrong
+ranking).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import pyarrow as pa
+from pyspark.sql import DataFrame
 
-from repro.core.spfresh import SPFreshIndex
-from repro.spark_index.store import arrow_table
-
-# squared L2 between two array<double> columns, in pure Spark SQL
-SQ_L2 = (
-    "aggregate(zip_with({a}, {b}, (x, y) -> (x - y) * (x - y)), "
-    "cast(0.0 as double), (acc, x) -> acc + x)"
-)
+from repro.core.spfresh import SEARCH_SLICE, SPFreshIndex, scan_topk
 
 
 def search_topk(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> DataFrame:
     """Full clustered search; returns (qid, vid, rnk) with rnk in 1..k.
     The driver's read step picks each query's postings, reads them and
-    queues merges for the undersized ones (SPANN+ queues none); the plan
-    scans the live rows it read."""
+    queues merges for the undersized ones (SPANN+ queues none); one Spark
+    job scans the live rows it read, a slice of queries per row."""
     queries = np.asarray(queries, dtype=np.float64)
-    probed, batch, _, rows = idx.probe(queries)
-    spark = idx.controller.spark
-    if rows is None:
-        return spark.createDataFrame([], "qid long, vid long, rnk int")
-    live, n_live = rows
-    qids = np.arange(len(queries), dtype=np.int64)
-    probes = spark.createDataFrame(
-        arrow_table(qid=np.repeat(qids, probed.shape[1]), pid=probed.ravel())
-    )
-    q_df = spark.createDataFrame(arrow_table(qid=qids, qvec=queries))
-    rows_df = spark.createDataFrame(arrow_table(
-        pid=np.repeat(batch.pids, n_live), vid=batch.rows.vids[live], vec=batch.rows.vecs[live]
-    ))
-    cand = (
-        probes.join(rows_df, on="pid")
-        .join(q_df, on="qid")
-        .select("qid", "vid", F.expr(SQ_L2.format(a="qvec", b="vec")).alias("d"))
-    )
-    best = cand.groupBy("qid", "vid").agg(F.min("d").alias("d"))  # replica dedupe
-    ranked = best.withColumn(
-        "rnk", F.row_number().over(Window.partitionBy("qid").orderBy("d", "vid"))
-    )
-    return ranked.where(F.col("rnk") <= k).select("qid", "vid", "rnk")
+    slot, batch, _, (live, n_live) = idx.probe(queries)
+    # the closure keeps the live rows alone, at places 0..n-1
+    rows, norms, at = batch.rows.take(live), batch.norms[live], np.arange(len(live))
+
+    def scan(parts):
+        for part in parts:
+            for lo in (part.column("id").to_numpy() * SEARCH_SLICE).tolist():
+                hi = lo + SEARCH_SLICE
+                ids = scan_topk(queries[lo:hi], slot[lo:hi], at, n_live, rows, norms, k)
+                lens = [len(i) for i in ids]
+                yield pa.RecordBatch.from_pydict({
+                    "qid": np.repeat(np.arange(lo, lo + len(ids)), lens),
+                    "vid": np.concatenate(ids),
+                    "rnk": np.concatenate([np.arange(1, n + 1, dtype=np.int32) for n in lens]),
+                })
+
+    n_slices = -(-len(queries) // SEARCH_SLICE)
+    return idx.controller.spark.range(n_slices).mapInArrow(scan, "qid long, vid long, rnk int")
 
 
 def duckdb_twin_sql(nprobe: int, k: int) -> str:
@@ -112,9 +99,7 @@ def duckdb_twin_sql(nprobe: int, k: int) -> str:
 
 def search_results_matrix(idx: SPFreshIndex, queries: np.ndarray, *, k: int) -> list[np.ndarray]:
     """Collect search_topk into per-query vid arrays (rank order)."""
-    pdf = search_topk(idx, queries, k=k).toPandas()
-    out: list[np.ndarray] = []
-    for qid in range(len(queries)):
-        rows = pdf[pdf["qid"] == qid].sort_values("rnk")
-        out.append(rows["vid"].to_numpy(dtype=np.int64))
-    return out
+    pdf = search_topk(idx, queries, k=k).toPandas().sort_values(["qid", "rnk"])
+    bounds = np.searchsorted(pdf["qid"].to_numpy(), np.arange(1, len(queries)))
+    # one array per query: np.split cuts an empty batch into one array too
+    return np.split(pdf["vid"].to_numpy(dtype=np.int64), bounds)[: len(queries)]

@@ -56,19 +56,6 @@ POSTING_SCHEMA = T.StructType(
 )
 
 
-def arrow_table(**cols: np.ndarray) -> pa.Table:
-    """Equal-length numpy columns as one Arrow table, for a Parquet file or
-    ``spark.createDataFrame``: a 1-D column keeps its dtype, a 2-D one
-    becomes a list of doubles per row (Spark's ``array<double>``)."""
-
-    def column(a: np.ndarray) -> pa.Array:
-        if a.ndim == 1:
-            return pa.array(a)
-        return pa.FixedSizeListArray.from_arrays(a.astype(np.float64).ravel(), a.shape[1])
-
-    return pa.table({name: column(np.asarray(a)) for name, a in cols.items()})
-
-
 class SparkPostingStore:
     """Posting dataset generations, the append buffer and the per-pid
     lengths of the Spark SPFresh engine."""
@@ -97,12 +84,13 @@ class SparkPostingStore:
         Parquet file in ``path``, named by a fresh uuid so no reload reuses
         a name; it is written hidden, which both readers skip, then renamed,
         so a crash leaves no partial file."""
-        table = arrow_table(
-            pid=pids.astype(np.int64),
-            vid=rows.vids.astype(np.int64),
-            version=rows.versions.astype(np.int32),
-            vec=rows.vecs,
-        )
+        vecs = rows.vecs.astype(np.float64).ravel()
+        table = pa.table({
+            "pid": pids.astype(np.int64),
+            "vid": rows.vids.astype(np.int64),
+            "version": rows.versions.astype(np.int32),
+            "vec": pa.FixedSizeListArray.from_arrays(vecs, self.dim),  # Spark's array<double>
+        })
         os.makedirs(path, exist_ok=True)
         name = f"{uuid.uuid4().hex}.parquet"
         tmp = os.path.join(path, "." + name)

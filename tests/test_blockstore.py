@@ -85,8 +85,9 @@ class TestBlockMapping:
     def test_multi_block_posting(self):
         ctl = BlockController(SimulatedSSD(block_bytes=64), dim=8)  # 3 tuples/block
         assert ctl.entries_per_block == 3
+        before = ctl.ssd.counters.snapshot()
         ctl.put(1, make_posting(10))
-        assert ctl.n_blocks(1) == 4
+        assert ctl.ssd.counters.delta(before).blocks_written == 4
         got, _ = ctl.get(1)
         np.testing.assert_array_equal(got.vids, np.arange(10))
 

@@ -20,7 +20,7 @@ from pyspark.sql import functions as F
 from repro.baselines.spann_plus import spann_plus_config
 from repro.core.distances import sq_norms
 from repro.core.lire import closure_assign
-from repro.core.spfresh import SPFreshConfig, SPFreshIndex
+from repro.core.spfresh import SEARCH_SLICE, SPFreshConfig, SPFreshIndex
 from repro.oracle import assert_equivalent
 from repro.spark_index import search as sp_search
 from repro.spark_index.engine import (
@@ -226,6 +226,34 @@ class TestSearch:
         got = sp_search.search_topk(st, qs, k=5)
         sql = sp_search.duckdb_twin_sql(st.config.nprobe, 5)
         assert_equivalent(got, sql, **oracle_tables(st, queries=qs))
+
+    def test_slicing_does_not_change_answers(self, spark, base_data, tmp_path):
+        """The Spark search reads a whole batch at once and scans it a slice
+        of ``SEARCH_SLICE`` queries per task; the core ``search_batch``
+        reads and scans slice by slice. On one churned index (a rebalance,
+        then inserts, deletes and jobs drained with no compaction, so
+        tombstoned rows and stale replicas stay in the store) their ids
+        are equal bit for bit, on both sides of a slice boundary, and an
+        empty batch has no answer on either."""
+        vecs, vids = base_data
+        st = build_index(spark, vecs[:400], vids[:400], small_cfg(), str(tmp_path / "s1"))
+        insert_batch(st, np.arange(6000, 6150), clustered_vectors(
+            n=150, dim=8, n_clusters=8, seed=21).astype(np.float64))
+        delete(st, np.arange(0, 30))
+        rebalance(st)
+        insert_batch(st, np.arange(6150, 6300), clustered_vectors(
+            n=150, dim=8, n_clusters=3, seed=22).astype(np.float64))
+        delete(st, np.arange(30, 60))
+        assert st.process_jobs() > 0 and st.stats.reassign_moved > 0
+        assert sum(st.posting_lengths().values()) > len(live_table(st))  # dead rows kept
+        qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=23).astype(np.float64)
+        for n in (0, 1, SEARCH_SLICE, SEARCH_SLICE + 1, 20):
+            spark_ids = sp_search.search_results_matrix(st, qs[:n], k=10)
+            core_ids, _ = st.search_batch(qs[:n], 10)
+            assert len(spark_ids) == len(core_ids) == n
+            for got, want in zip(spark_ids, core_ids):
+                assert got.dtype == want.dtype and len(got) == 10
+                np.testing.assert_array_equal(got, want)
 
     def test_new_vector_found(self, spark, base_data, tmp_path):
         vecs, vids = base_data
@@ -649,8 +677,8 @@ class TestJobCount:
     def test_insert_batch_and_search_job_counts(self, spark, base_data, tmp_path):
         """The build and an insert batch write their rows with Arrow: no
         Spark job. A 20-query search runs its read step once for the batch,
-        with Arrow, then the SQL scan of the live rows that step read: 5
-        Spark jobs in all."""
+        with Arrow, then the core's scan of the live rows that step read,
+        one task per slice of queries: 1 Spark job in all."""
         vecs, vids = base_data
         with SparkJobs(spark) as counted:
             st = build_index(spark, vecs[:300], vids[:300], small_cfg(), str(tmp_path / "j3"))
@@ -662,7 +690,7 @@ class TestJobCount:
         qs = clustered_vectors(n=20, dim=8, n_clusters=8, seed=10).astype(np.float64)
         with SparkJobs(spark) as counted:
             sp_search.search_results_matrix(st, qs, k=10)
-        assert counted.n == 5
+        assert counted.n == 1
 
     def test_rebalance_launches_only_compaction_jobs(self, spark, base_data, tmp_path):
         """The split, reassign and merge jobs of a rebalance read and write
