@@ -5,9 +5,11 @@ Single-node reference implementation of the LIRE protocol: one
 queue, the config and a posting store — the simulated Block Controller
 by default, or the Spark engine's Parquet store (:mod:`repro.spark_index`),
 so both engines share one Updater, one job queue and one schedule, and
-differ only in storage. The *Updater* appends a new vector to its nearest
-posting(s) and tombstones deletes in the version map. The *Local
-Rebuilder* (:meth:`SPFreshIndex.process_jobs`) drains a job queue of
+differ only in storage. It holds no vector in memory, only the paper's
+state (§4). The *Updater* registers, copies and prices an insert batch
+once, appends each new vector to its nearest posting(s), and tombstones
+deletes in the version map. The *Local Rebuilder*
+(:meth:`SPFreshIndex.process_jobs`) drains a job queue of
 split / merge / reassign jobs — off the foreground critical path, as the
 paper's feed-forward pipeline. Appends that leave a posting over the
 split limit queue a split job; a split job garbage-collects the posting
@@ -151,7 +153,13 @@ class SPFreshIndex:
         self.stats = EngineStats()
         self.jobs: deque[tuple] = deque()  # the Local Rebuilder's FIFO queue
         self._pending: set[tuple[str, int]] = set()  # dedupe split/merge jobs
-        self._vecs: dict[int, np.ndarray] = {}  # vid → raw vector; only tests and perfbench read it
+
+    # Only the traced run of perfbench/core_bench.py reads this, as
+    # ``len(idx._vecs)`` for ``ssd.space_amp``: the registered, undeleted vids.
+    @property
+    def _vecs(self) -> np.ndarray:
+        vids, _, deleted = self.version_map.entries()
+        return vids[~deleted]
 
     @property
     def ssd(self) -> SimulatedSSD:
@@ -191,7 +199,6 @@ class SPFreshIndex:
             r = rows[order[bounds[c] : bounds[c + 1]]]
             posting = Posting(vids[r], np.zeros(len(r), dtype=np.int16), vecs[r])
             self.controller.put(self.centroid_index.add(centroid), posting)
-        self._vecs = dict(zip(vids.tolist(), vecs))
         return self
 
     # ------------------------------------------------------------------
@@ -209,30 +216,25 @@ class SPFreshIndex:
         Raises ``ValueError``, inserting none of the batch, when a vid is
         negative, registered already or occurs twice in it, or when
         ``vecs`` is not ``len(vids)`` rows of ``config.dim`` values."""
-        self.version_map.check_new(vids)
         vecs = self._vectors(vids, vecs)
-        if not len(vecs):
-            return np.empty(0)
+        self.version_map.add_many(vids)
+        # the engine's own copy: no stored tail may alias the caller's arrays
+        own = Posting(np.array(vids, dtype=np.int64), np.zeros(len(vecs), np.int16), vecs.copy())
         rows, pids = lire.closure_pids(self.centroid_index, vecs, self.config)
         bounds = np.searchsorted(rows, np.arange(len(vecs) + 1))
-        lats = np.empty(len(vecs))
-        for i, vid in enumerate(np.asarray(vids, dtype=np.int64).tolist()):
-            # append the vector to its closure postings
-            self.version_map.add(vid)
-            self._vecs[vid] = vecs[i]
-            tail = Posting(
-                np.asarray([vid], dtype=np.int64), np.zeros(1, dtype=np.int16), vecs[i : i + 1]
-            )
-            closure = pids[bounds[i] : bounds[i + 1]].tolist()
+        ios = np.empty(len(vecs))
+        for i in range(len(vecs)):
+            # append the vector to its closure postings, in arrival order
+            tail, closure = own.slice(i, i + 1), pids[bounds[i] : bounds[i + 1]].tolist()
             io = 0.0
             for pid in closure:
                 io += self.controller.append(pid, tail)
             self.inserted(closure)
             self.stats.foreground_io_us += io
-            lats[i] = self.latency.insert_us(
-                n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=io
-            )
-        return lats
+            ios[i] = io
+        return self.latency.insert_us(
+            n_centroids_compared=len(self.centroid_index), dim=self.config.dim, io_us=ios
+        )
 
     def delete(self, vid: int) -> float:
         """Tombstone a vector (O(1), in-memory only); returns latency µs.
@@ -242,7 +244,6 @@ class SPFreshIndex:
             raise KeyError(f"vid {vid} is not registered")
         if not self.version_map.is_deleted(vid):
             self.version_map.delete(vid)
-            self._vecs.pop(vid, None)
             self.stats.deletes += 1
         return self.latency.base_us
 

@@ -33,18 +33,13 @@ class VersionMap:
 
     # -- lifecycle --------------------------------------------------------
     def add(self, vid: int) -> int:
-        """Register a fresh vector at version 0; returns the version.
+        """Register a fresh vector at version 0 (a batch of one); returns 0.
 
         A vid is registered once: re-registering it, deleted or not, would
         reset its version to 0 and make its old replicas, which hold the old
         vector at that version, live again. Raises ``ValueError`` instead.
         """
-        if vid < 0 or self.contains(vid):
-            raise ValueError(f"vid {vid} is negative or already registered")
-        self._ensure(vid)
-        self._v[vid] = 0
-        self._present[vid] = True
-        self._max_vid = max(self._max_vid, vid)
+        self.add_many(np.array([vid], dtype=np.int64))
         return 0
 
     def check_new(self, vids: np.ndarray) -> None:

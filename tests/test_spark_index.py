@@ -560,9 +560,10 @@ class TestCrossEngine:
             pids = core.centroid_index.alive_ids
             emptied, thinned = (int(p) for p in rng.choice(pids, 2, replace=False))
             held = live_postings(core)
+            registered, _, deleted = core.version_map.entries()
             dels = np.concatenate([
                 held[emptied], held[thinned][1:],
-                rng.choice(sorted(core._vecs), 20, replace=False),
+                rng.choice(registered[~deleted], 20, replace=False),
             ])
             dels = np.unique(dels).astype(np.int64)
             hot = core.centroid_index.centroid(int(rng.choice(pids))).copy()
